@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "mem/frame_allocator.hh"
 
@@ -165,4 +168,114 @@ TEST(FrameAllocator, FreeCountInvariantUnderRandomOps)
     for (LocalPfn p = 0; p < 512; ++p)
         free_bits += fa.isFree(p) ? 1 : 0;
     EXPECT_EQ(free_bits, fa.freeFrames());
+}
+
+namespace
+{
+
+/**
+ * Reference oracle for findCommonFreeRun: the original frame-at-a-time,
+ * peer-at-a-time scan, kept here so the word-parallel search can be
+ * checked against it.
+ */
+std::optional<LocalPfn>
+oracleCommonFreeRun(std::span<const FrameAllocator *> peers,
+                    std::uint64_t run_length, LocalPfn start_hint)
+{
+    std::uint64_t frames = peers.front()->numFrames();
+    for (const auto *p : peers)
+        frames = std::min(frames, p->numFrames());
+    if (frames < run_length)
+        return std::nullopt;
+    std::uint64_t run = 0;
+    for (LocalPfn pfn = start_hint; pfn < frames; ++pfn) {
+        bool all_free = true;
+        for (const auto *p : peers) {
+            if (!p->isFree(pfn)) {
+                all_free = false;
+                break;
+            }
+        }
+        run = all_free ? run + 1 : 0;
+        if (run == run_length)
+            return pfn + 1 - run_length;
+    }
+    return std::nullopt;
+}
+
+} // namespace
+
+TEST(FrameAllocator, CommonFreeRunCrossesWordBoundary)
+{
+    FrameAllocator a(256), b(200);
+    for (LocalPfn p = 0; p < 200; ++p)
+        if (p < 60 || p > 130)
+            a.allocate(p);
+    b.allocate(100);
+    std::array<const FrameAllocator *, 2> peers{&a, &b};
+    // 60..99 is the only common run below 101 and spans words 0 and 1.
+    EXPECT_EQ(FrameAllocator::findCommonFreeRun(peers, 40), 60u);
+    EXPECT_EQ(FrameAllocator::findCommonFreeRun(peers, 30, 61), 61u);
+    EXPECT_EQ(FrameAllocator::findCommonFreeRun(peers, 30, 71), 101u);
+    EXPECT_FALSE(FrameAllocator::findCommonFreeRun(peers, 41).has_value());
+    // Runs may not extend past the smallest peer's frame space.
+    FrameAllocator c(70), d(128);
+    std::array<const FrameAllocator *, 2> short_peers{&c, &d};
+    EXPECT_EQ(FrameAllocator::findCommonFreeRun(short_peers, 70), 0u);
+    EXPECT_FALSE(
+        FrameAllocator::findCommonFreeRun(short_peers, 6, 65).has_value());
+    EXPECT_EQ(FrameAllocator::findCommonFreeRun(short_peers, 5, 65), 65u);
+    EXPECT_FALSE(
+        FrameAllocator::findCommonFreeRun(short_peers, 1, 70).has_value());
+    EXPECT_FALSE(FrameAllocator::findCommonFreeRun(short_peers, 71)
+                     .has_value());
+}
+
+/**
+ * Differential check of findCommonFreeRun against the frame-at-a-time
+ * oracle: random fragmentation, 1-16 peers of unequal size, unaligned
+ * start hints, run lengths 1-130 (word-crossing and unsatisfiable).
+ */
+TEST(FrameAllocator, CommonFreeRunMatchesFrameScanOracle)
+{
+    Rng rng(2024);
+    const double densities[] = {0.0, 0.0, 0.002, 0.01, 0.05, 0.2, 0.6};
+    int found = 0, crossing = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        std::size_t n = 1 + rng.below(16);
+        std::uint64_t base = 32 + rng.below(700);
+        std::vector<std::unique_ptr<FrameAllocator>> owned;
+        std::vector<const FrameAllocator *> peers;
+        for (std::size_t i = 0; i < n; ++i) {
+            auto fa = std::make_unique<FrameAllocator>(
+                base + rng.below(base / 2 + 1));
+            // Per-peer density, plus a few allocated stretches so long
+            // common runs both exist and get cut.
+            fa->injectFragmentation(densities[rng.below(7)] / n,
+                                    rng);
+            for (auto k = rng.below(8) == 0 ? 2 : 0; k > 0; --k) {
+                LocalPfn at = rng.below(fa->numFrames());
+                LocalPfn len = 1 + rng.below(80);
+                for (LocalPfn p = at; p < at + len && p < fa->numFrames();
+                     ++p)
+                    fa->allocate(p);
+            }
+            peers.push_back(fa.get());
+            owned.push_back(std::move(fa));
+        }
+        std::uint64_t run = 1 + rng.below(130);
+        LocalPfn hint = rng.below(4) == 0 ? 0 : rng.below(base * 3 / 4 + 64);
+        std::span<const FrameAllocator *> view(peers);
+        auto want = oracleCommonFreeRun(view, run, hint);
+        auto got = FrameAllocator::findCommonFreeRun(view, run, hint);
+        ASSERT_EQ(got, want) << "trial " << trial << ": " << n
+                             << " peers, run " << run << ", hint " << hint;
+        found += want.has_value();
+        crossing += want && *want % 64 + run > 64;
+    }
+    // The draw must exercise both outcomes substantially, and runs that
+    // span more than one bitmap word.
+    EXPECT_GT(found, 1000);
+    EXPECT_GT(4000 - found, 1000);
+    EXPECT_GT(crossing, 300);
 }
