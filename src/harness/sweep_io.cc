@@ -7,6 +7,7 @@
 #include <limits>
 #include <ostream>
 
+#include "core/pec.hh"
 #include "sim/logging.hh"
 
 namespace barre
@@ -58,6 +59,19 @@ parseUnsignedArg(const std::string &s, const char *what)
     if (errno == ERANGE || v > std::numeric_limits<unsigned>::max())
         barre_fatal("%s: '%s' is out of range", what, s.c_str());
     return static_cast<unsigned>(v);
+}
+
+unsigned
+parseChipletsArg(const std::string &s)
+{
+    unsigned n = parseUnsignedArg(s, "--chiplets");
+    if (n < 1 || n > PecEntry::max_gpus)
+        barre_fatal("--chiplets: %u is outside 1..%u. A PEC entry maps "
+                    "at most PecEntry::max_gpus = %u chiplets, and the "
+                    "PTE's 11-bit coalescing budget (ignored bits "
+                    "52..62) has no inter-GPU order past 15",
+                    n, PecEntry::max_gpus, PecEntry::max_gpus);
+    return n;
 }
 
 double

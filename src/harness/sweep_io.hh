@@ -43,6 +43,14 @@ unsigned parseUnsignedArg(const std::string &s, const char *what);
 /** Parse a finite value > 0 (workload scale); fatal otherwise. */
 double parseScaleArg(const std::string &s, const char *what);
 
+/**
+ * Parse a chiplet count in 1..PecEntry::max_gpus; fatal otherwise.
+ * The bound is the model's: a PEC entry maps at most 16 order
+ * positions, and the PTE's 11 ignored bits have no encoding for a
+ * coalescing order past 15.
+ */
+unsigned parseChipletsArg(const std::string &s);
+
 /** Parse "i/N" with N >= 1 and i < N; fatal otherwise. */
 ShardSpec parseShardArg(const std::string &s);
 

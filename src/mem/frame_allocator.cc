@@ -1,5 +1,6 @@
 #include "mem/frame_allocator.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -93,21 +94,46 @@ FrameAllocator::findCommonFreeRun(std::span<const FrameAllocator *> peers,
     std::uint64_t frames = peers.front()->numFrames();
     for (const auto *p : peers)
         frames = std::min(frames, p->numFrames());
-    if (frames < run_length)
+    if (frames < run_length || start_hint >= frames)
         return std::nullopt;
 
+    // Intersect the peers' bitmaps a word at a time; `run` carries the
+    // common free run that reaches the top of the previous word. The
+    // smallest peer's bits past its last frame are clear, so the
+    // intersection already ends at `frames`.
+    const std::uint64_t first = start_hint / word_bits;
+    const std::uint64_t last = (frames - 1) / word_bits;
     std::uint64_t run = 0;
-    for (LocalPfn pfn = start_hint; pfn < frames; ++pfn) {
-        bool all_free = true;
+    LocalPfn run_start = 0;
+    for (std::uint64_t w = first; w <= last; ++w) {
+        std::uint64_t bits = ~std::uint64_t{0};
         for (const auto *p : peers) {
-            if (!p->isFree(pfn)) {
-                all_free = false;
+            bits &= p->free_bits_[w];
+            if (bits == 0)
                 break;
-            }
         }
-        run = all_free ? run + 1 : 0;
-        if (run == run_length)
-            return pfn + 1 - run_length;
+        if (w == first)
+            bits &= ~std::uint64_t{0} << (start_hint % word_bits);
+
+        const LocalPfn base = w * word_bits;
+        int pos = 0;
+        while (pos < word_bits) {
+            std::uint64_t rest = bits >> pos;
+            if (run == 0) {
+                if (rest == 0)
+                    break;
+                pos += std::countr_zero(rest);
+                rest = bits >> pos;
+                run_start = base + static_cast<std::uint64_t>(pos);
+            }
+            int ones = std::countr_one(rest);
+            run += static_cast<std::uint64_t>(ones);
+            if (run >= run_length)
+                return run_start;
+            pos += ones;
+            if (pos < word_bits)
+                run = 0; // a taken frame ends the run
+        }
     }
     return std::nullopt;
 }

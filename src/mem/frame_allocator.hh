@@ -57,8 +57,10 @@ class FrameAllocator
                    LocalPfn start_hint = 0);
 
     /**
-     * Find the lowest start of a run of @p run_length consecutive frames
-     * free in every allocator of @p peers.
+     * Find the lowest start >= @p start_hint of a run of @p run_length
+     * consecutive frames free in every allocator of @p peers. The run
+     * must end inside the smallest peer's frame space. Scans the
+     * intersection of the peers' bitmaps a 64-frame word at a time.
      */
     static std::optional<LocalPfn>
     findCommonFreeRun(std::span<const FrameAllocator *> peers,

@@ -40,6 +40,30 @@ TEST(ParseUnsignedArg, RejectsGarbageInsteadOfReturningZero)
                  std::runtime_error);
 }
 
+TEST(ParseChipletsArg, AcceptsTheModelledRange)
+{
+    EXPECT_EQ(parseChipletsArg("1"), 1u);
+    EXPECT_EQ(parseChipletsArg("4"), 4u);
+    EXPECT_EQ(parseChipletsArg("16"), 16u);
+}
+
+TEST(ParseChipletsArg, RejectsCountsThePecAndPteCannotEncode)
+{
+    EXPECT_THROW(parseChipletsArg("0"), std::runtime_error);
+    EXPECT_THROW(parseChipletsArg("x"), std::runtime_error);
+    for (const char *n : {"17", "32"}) {
+        try {
+            parseChipletsArg(n);
+            FAIL() << "--chiplets " << n << " accepted";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("PecEntry::max_gpus"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("11-bit"), std::string::npos) << msg;
+        }
+    }
+}
+
 TEST(ParseScaleArg, AcceptsPositiveReals)
 {
     EXPECT_DOUBLE_EQ(parseScaleArg("0.25", "t"), 0.25);

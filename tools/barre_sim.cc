@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -46,7 +47,7 @@ usage()
         "  --record-trace FILE write the app's trace and exit\n"
         "  --mode M            baseline|valkyrie|least|barre|fbarre\n"
         "  --merge N           F-Barre merge limit (1/2/4)\n"
-        "  --chiplets N        GPU chiplets (default 4)\n"
+        "  --chiplets N        GPU chiplets, 1..16 (default 4)\n"
         "  --ptws N            IOMMU walkers, 0 = infinite\n"
         "  --page-size S       4k|64k|2m\n"
         "  --policy P          lasp|coda|chunking|rr\n"
@@ -110,7 +111,7 @@ parsePageSize(const std::string &s)
 } // namespace
 
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string app_name = "atax";
     bool app_given = false;
@@ -178,7 +179,7 @@ main(int argc, char **argv)
         } else if (arg == "--merge") {
             cfg.driver.merge_limit = parseUnsignedArg(next(), "--merge");
         } else if (arg == "--chiplets") {
-            cfg.chiplets = parseUnsignedArg(next(), "--chiplets");
+            cfg.chiplets = parseChipletsArg(next());
         } else if (arg == "--ptws") {
             cfg.iommu.ptws = parseUnsignedArg(next(), "--ptws");
         } else if (arg == "--page-size") {
@@ -304,4 +305,16 @@ main(int argc, char **argv)
         sys.dumpStats(std::cout);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    // barre_fatal and barre_panic print their message before throwing;
+    // exit with a status rather than abort on the escaped exception.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &) {
+        return 1;
+    }
 }
