@@ -24,10 +24,11 @@ FilterEngine::FilterEngine(ChipletId chiplet, std::uint32_t chiplets,
       lcf_(saltedParams(params, std::uint64_t{chiplet} * 2 + 1))
 {
     barre_assert(chiplet < chiplets, "owner out of range");
-    rcfs_.reserve(chiplets);
+    rcfs_.reserve(chiplets - 1);
     for (std::uint32_t p = 0; p < chiplets; ++p) {
-        rcfs_.emplace_back(
-            saltedParams(params, (std::uint64_t{chiplet} << 8) | p));
+        if (p != chiplet)
+            rcfs_.emplace_back(
+                saltedParams(params, (std::uint64_t{chiplet} << 8) | p));
     }
     if constexpr (invariants_enabled)
         rcf_shadow_.resize(chiplets);
@@ -65,7 +66,7 @@ FilterEngine::rcfFor(ChipletId peer)
 {
     barre_assert(peer < chiplets_ && peer != owner_,
                  "bad RCF peer %u", peer);
-    return rcfs_[peer];
+    return rcfs_[peer - (peer > owner_)];
 }
 
 const CuckooFilter &
@@ -99,7 +100,7 @@ FilterEngine::auditRcfMembership() const
         for (std::uint32_t p = 0; p < chiplets_; ++p) {
             if (p == owner_)
                 continue;
-            const CuckooFilter &rcf = rcfs_[p];
+            const CuckooFilter &rcf = rcfFor(p);
             // Once an insert dropped a victim fingerprint the filter
             // is legitimately lossy; the no-false-negative guarantee
             // (and so this audit) only binds before that point.
@@ -121,12 +122,10 @@ FilterEngine::predictSharer(ProcessId pid, Vpn vpn) const
 {
     ++rcf_lookups_;
     std::uint64_t key = keyOf(pid, vpn);
-    for (std::uint32_t p = 0; p < chiplets_; ++p) {
-        if (p == owner_)
-            continue;
-        if (rcfs_[p].contains(key)) {
+    for (std::uint32_t k = 0; k < rcfs_.size(); ++k) {
+        if (rcfs_[k].contains(key)) {
             ++rcf_hits_;
-            return static_cast<ChipletId>(p);
+            return static_cast<ChipletId>(k + (k >= owner_));
         }
     }
     return std::nullopt;
@@ -149,9 +148,8 @@ std::uint64_t
 FilterEngine::storageBits() const
 {
     std::uint64_t bits = lcf_.storageBits();
-    for (std::uint32_t p = 0; p < chiplets_; ++p)
-        if (p != owner_)
-            bits += rcfs_[p].storageBits();
+    for (const auto &f : rcfs_)
+        bits += f.storageBits();
     return bits;
 }
 

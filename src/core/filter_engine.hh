@@ -125,6 +125,7 @@ class FilterEngine : public DomainOwned
     std::uint32_t chiplets_;
     CuckooFilter lcf_;
     /** Indexed by peer id; the slot for owner_ is unused but present. */
+    /** One per peer, in chiplet order with the owner skipped. */
     std::vector<CuckooFilter> rcfs_;
     /**
      * Expected RCF membership per peer (applied inserts minus applied
