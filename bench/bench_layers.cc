@@ -12,7 +12,12 @@
  *   - FrameAllocator::findCommonFreeRun over 2, 4 and 16 aged
  *     allocators (a densely allocated low region with scattered holes,
  *     then light fragmentation), the driver's common-frame search for
- *     coalescing groups.
+ *     coalescing groups;
+ *   - event schedule+fire, per event, for a 16-byte capture and for a
+ *     nested continuation capture larger than InlineFn's 48-byte
+ *     buffer, on the legacy EventQueue and on a single-domain
+ *     TaggedEngine (the payload cell, the ladder or domain heap, and
+ *     the in-place fire).
  *
  * Filters use the Table II geometry (256 rows x 4 ways, 9-bit
  * fingerprints, 128 kicks); allocators hold 2 GiB of 4 KiB frames.
@@ -37,6 +42,7 @@
 
 #include "filters/cuckoo_filter.hh"
 #include "mem/frame_allocator.hh"
+#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 
 using namespace barre;
@@ -228,6 +234,109 @@ commonFreeRun(std::size_t peers, double budget_ns)
     return l;
 }
 
+/** Concurrent event chains per event-path row (CUs of one chiplet). */
+constexpr std::size_t kEventChains = 64;
+
+/** Each event schedules its successor with a 16-byte capture. */
+struct SmallChain
+{
+    EventQueue *eq;
+    Rng rng;
+    std::uint64_t left;
+    std::uint64_t sum = 0;
+
+    void
+    step(std::uint64_t seq)
+    {
+        sum += seq;
+        if (left == 0)
+            return;
+        --left;
+        eq->scheduleAfter(1 + rng.below(64),
+                          [this, seq] { step(seq + 1); });
+    }
+
+    void start() { step(0); }
+};
+
+/**
+ * Two events per round, shaped like a memory access: the first captures
+ * a `done` continuation plus request state (88 bytes), then wraps
+ * `done` into a continuation too big for the inline buffer and parks
+ * it in the second event; calling `done` starts the next round.
+ */
+struct NestedChain
+{
+    EventQueue *eq;
+    Rng rng;
+    std::uint64_t left;
+    std::uint64_t sum = 0;
+
+    void
+    start()
+    {
+        if (left == 0)
+            return;
+        --left;
+        round(EventQueue::Callback([this] { start(); }));
+    }
+
+    void
+    round(EventQueue::Callback &&done)
+    {
+        const std::uint64_t a = left, b = sum, c = rng.below(64);
+        eq->scheduleAfter(1 + c, [this, a, b, c,
+                                  done = std::move(done)]() mutable {
+            EventQueue::Callback cont = [this, a, b, c,
+                                         done = std::move(done)] {
+                sum += a ^ b ^ c;
+                done();
+            };
+            eq->scheduleAfter(1 + rng.below(64),
+                              [cont = std::move(cont)] { cont(); });
+        });
+    }
+};
+
+/**
+ * ns per schedule+fire with @p Chain payloads, on the legacy queue or
+ * (@p tagged) a single-domain TaggedEngine. One untimed warm-up pass
+ * fills the cell pool and the containers; timed passes repeat until
+ * @p budget_ns has accumulated.
+ */
+template <typename Chain>
+Layer
+scheduleFire(const std::string &name, bool tagged, double budget_ns)
+{
+    constexpr std::uint64_t kPerChain = 4096;
+    Layer l{name};
+    double timed = 0;
+    for (int pass = 0; pass == 0 || timed < budget_ns; ++pass) {
+        EventQueue eq;
+        if (tagged)
+            eq.enableTags({0}, 1);
+        std::vector<Chain> chains;
+        for (std::size_t i = 0; i < kEventChains; ++i)
+            chains.push_back(Chain{&eq, Rng(0xe7 + i), kPerChain});
+        const auto t0 = Clock::now();
+        {
+            EventQueue::TagScope scope(eq, kHostTag);
+            for (Chain &c : chains)
+                c.start();
+        }
+        const std::uint64_t fired =
+            tagged ? eq.taggedEngine()->runEpoch(0, max_tick) : eq.run();
+        const double ns = nsSince(t0);
+        check(eq.empty(), "event chains left events pending");
+        if (pass == 0)
+            continue;
+        timed += ns;
+        l.ops += fired;
+    }
+    l.ns_per_op = timed / static_cast<double>(l.ops);
+    return l;
+}
+
 bool
 writeJson(const std::string &path, const std::vector<Layer> &layers)
 {
@@ -279,6 +388,13 @@ main(int argc, char **argv)
     layers.push_back(containsAtFill95(budget_ns));
     for (std::size_t peers : {2, 4, 16})
         layers.push_back(commonFreeRun(peers, budget_ns));
+    for (bool tagged : {false, true}) {
+        const std::string engine = tagged ? "tagged" : "queue";
+        layers.push_back(scheduleFire<SmallChain>(
+            "event_" + engine + "_capture16", tagged, budget_ns));
+        layers.push_back(scheduleFire<NestedChain>(
+            "event_" + engine + "_nested", tagged, budget_ns));
+    }
 
     for (const Layer &l : layers) {
         std::printf("%-28s %10.1f ns/op  (%llu ops)", l.name.c_str(),

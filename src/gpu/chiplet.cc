@@ -52,7 +52,7 @@ Chiplet::setPeers(std::vector<Chiplet *> peers)
 
 void
 Chiplet::access(CuId cu, ProcessId pid, Addr vaddr,
-                EventQueue::Callback done)
+                EventQueue::Callback &&done)
 {
     Vpn vpn = vpnOf(vaddr, params_.page_size);
     const Tick t0 = curTick();
@@ -88,7 +88,7 @@ Chiplet::access(CuId cu, ProcessId pid, Addr vaddr,
 
 void
 Chiplet::translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
-                       Tick t0, EventQueue::Callback done)
+                       Tick t0, EventQueue::Callback &&done)
 {
     if (shared_svc_) {
         // The package-shared block serves the whole L2 stage (lookup,
@@ -159,7 +159,7 @@ Chiplet::translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
 
 void
 Chiplet::dataAccess(CuId cu, ProcessId pid, Addr vaddr, const TlbEntry &te,
-                    Tick t0, EventQueue::Callback done)
+                    Tick t0, EventQueue::Callback &&done)
 {
     if (lat_probe_)
         lat_probe_(pid, curTick() - t0);
@@ -226,7 +226,7 @@ Chiplet::unparkWaiters()
 }
 
 void
-Chiplet::serveRemoteData(Addr paddr, EventQueue::Callback done)
+Chiplet::serveRemoteData(Addr paddr, EventQueue::Callback &&done)
 {
     after(params_.l2_cache.hit_latency,
           [this, paddr, done = std::move(done)]() mutable {

@@ -114,10 +114,10 @@ class Chiplet : public SimObject
      * access (translation + data) completes.
      */
     void access(CuId cu, ProcessId pid, Addr vaddr,
-                EventQueue::Callback done);
+                EventQueue::Callback &&done);
 
     /** Serve a data access arriving from a peer chiplet. */
-    void serveRemoteData(Addr paddr, EventQueue::Callback done);
+    void serveRemoteData(Addr paddr, EventQueue::Callback &&done);
 
     /**
      * Install an unsolicited translation (IOMMU multicast push,
@@ -226,12 +226,12 @@ class Chiplet : public SimObject
     };
 
     void translateAtL2(CuId cu, ProcessId pid, Addr vaddr, Vpn vpn,
-                       Tick t0, EventQueue::Callback done);
+                       Tick t0, EventQueue::Callback &&done);
     /** Release requests parked on this chiplet's full MSHR file. */
     void unparkWaiters();
     void dataAccess(CuId cu, ProcessId pid, Addr vaddr,
                     const TlbEntry &te, Tick t0,
-                    EventQueue::Callback done);
+                    EventQueue::Callback &&done);
 
     std::uint32_t pageShift() const
     {

@@ -180,6 +180,8 @@ parallelEpochs(TaggedEngine &eng, Tick lookahead, ThreadPool &pool,
  */
 struct AsyncShared
 {
+    AsyncShared(TaggedEngine &e, unsigned w) : eng(e), workers(w) {}
+
     TaggedEngine &eng;
     unsigned workers;
     std::atomic<std::uint64_t> gen{0};
@@ -258,7 +260,7 @@ asyncWorker(AsyncShared &sh, std::size_t w)
 void
 asyncRun(TaggedEngine &eng, ThreadPool *pool, unsigned workers)
 {
-    AsyncShared sh{eng, workers};
+    AsyncShared sh(eng, workers);
     if (workers <= 1 || pool == nullptr) {
         sh.workers = 1;
         asyncWorker(sh, 0);

@@ -42,8 +42,9 @@ class Dram : public SimObject
      * Issue one line-sized access; @p done fires at completion time.
      * @return the completion tick.
      */
+    template <EventCallable F>
     Tick
-    access(EventQueue::Callback done)
+    access(F &&done)
     {
         ++accesses_;
         // Serialization: the channel frees up line_bytes/bw after the
@@ -52,7 +53,7 @@ class Dram : public SimObject
         channel_free_ = start + serializationCycles(params_.line_bytes,
                                                    params_.bytes_per_cycle);
         Tick finish = start + params_.latency;
-        eventQueue().schedule(finish, std::move(done));
+        eventQueue().schedule(finish, std::forward<F>(done));
         return finish;
     }
 

@@ -51,15 +51,15 @@ class Interconnect : public SimObject
      * inline; partitioned mode stages the delivery across the domain
      * boundary when src and dst live in different domains.
      */
+    template <EventCallable F>
     Tick
-    send(ChipletId src, ChipletId dst, std::uint64_t bytes,
-         EventQueue::Callback deliver)
+    send(ChipletId src, ChipletId dst, std::uint64_t bytes, F &&deliver)
     {
         barre_assert(src < egress_.size() && dst < egress_.size(),
                      "chiplet id out of range");
         barre_assert(src != dst, "self-send over the interconnect");
         return egress_[src]->sendTo(chipletTag(dst), bytes,
-                                    std::move(deliver));
+                                    std::forward<F>(deliver));
     }
 
     std::uint64_t

@@ -40,11 +40,12 @@ class Link : public SimObject, public ArbHook
      * at the computed tick (legacy mode).
      * @return the delivery tick.
      */
+    template <EventCallable F>
     Tick
-    send(std::uint64_t bytes, EventQueue::Callback deliver)
+    send(std::uint64_t bytes, F &&deliver)
     {
         Tick arrive = arbitrate(curTick(), bytes);
-        eventQueue().schedule(arrive, std::move(deliver));
+        eventQueue().schedule(arrive, std::forward<F>(deliver));
         return arrive;
     }
 
@@ -56,11 +57,12 @@ class Link : public SimObject, public ArbHook
      * boundary when needed. Legacy mode behaves exactly like send().
      * @return the delivery tick.
      */
+    template <EventCallable F>
     Tick
-    sendTo(SeqTag dst, std::uint64_t bytes, EventQueue::Callback deliver)
+    sendTo(SeqTag dst, std::uint64_t bytes, F &&deliver)
     {
         Tick arrive = arbitrate(curTick(), bytes);
-        eventQueue().scheduleCross(dst, arrive, std::move(deliver));
+        eventQueue().scheduleCross(dst, arrive, std::forward<F>(deliver));
         return arrive;
     }
 
@@ -72,12 +74,12 @@ class Link : public SimObject, public ArbHook
      * epoch barrier — so the send may be staged.
      * @return the delivery tick, or 0 when staged.
      */
+    template <EventCallable F>
     Tick
-    sendShared(SeqTag owner, std::uint64_t bytes,
-               EventQueue::Callback deliver)
+    sendShared(SeqTag owner, std::uint64_t bytes, F &&deliver)
     {
         return eventQueue().stageArb(owner, *this, bytes,
-                                     std::move(deliver));
+                                     std::forward<F>(deliver));
     }
 
     /**

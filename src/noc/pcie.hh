@@ -45,10 +45,12 @@ class Pcie : public SimObject
      * the epoch barrier (see Link::sendShared).
      * @return the delivery tick, or 0 when staged.
      */
+    template <EventCallable F>
     Tick
-    toHost(std::uint64_t bytes, EventQueue::Callback deliver)
+    toHost(std::uint64_t bytes, F &&deliver)
     {
-        return upstream_.sendShared(kHostTag, bytes, std::move(deliver));
+        return upstream_.sendShared(kHostTag, bytes,
+                                    std::forward<F>(deliver));
     }
 
     /**
@@ -57,10 +59,11 @@ class Pcie : public SimObject
      * arbitration happens inline at send time.
      * @return the delivery tick.
      */
+    template <EventCallable F>
     Tick
-    toDevice(SeqTag dst, std::uint64_t bytes, EventQueue::Callback deliver)
+    toDevice(SeqTag dst, std::uint64_t bytes, F &&deliver)
     {
-        return downstream_.sendTo(dst, bytes, std::move(deliver));
+        return downstream_.sendTo(dst, bytes, std::forward<F>(deliver));
     }
 
     const Link &upstream() const { return upstream_; }

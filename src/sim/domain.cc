@@ -21,6 +21,26 @@ clampAdd(Tick a, Tick b)
 
 } // namespace
 
+TaggedEngine::~TaggedEngine()
+{
+    for (const Domain &dom : domains_)
+        for (const Entry &e : dom.heap)
+            e.cell->discard();
+    for (const Lane &lane : lanes_)
+        for (const Entry &e : lane.evs)
+            e.cell->discard();
+    auto discardOps = [](const std::vector<StagedArb> &ops) {
+        for (const StagedArb &op : ops)
+            if (op.deliver)
+                op.deliver->discard();
+    };
+    for (const ArbLane &lane : arb_lanes_)
+        discardOps(lane.ops);
+    for (const std::vector<StagedArb> &ops : pending_arb_)
+        discardOps(ops);
+    discardOps(scratch_arb_);
+}
+
 void
 TaggedEngine::replayArb(StagedArb &op)
 {
@@ -37,8 +57,8 @@ TaggedEngine::replayArb(StagedArb &op)
         (unsigned long long)when, op.src_dom,
         tag_domain_[op.owner], (unsigned long long)op.sent));
     heapPush(domains_[tag_domain_[op.owner]],
-             Entry{when, op.sent, op.key, op.owner,
-                   std::move(op.deliver)});
+             Entry{when, op.sent, op.key, op.deliver, op.owner});
+    op.deliver = nullptr;
 }
 
 bool
@@ -63,8 +83,7 @@ TaggedEngine::serviceDomain(std::uint32_t d)
     for (std::uint32_t s = 0; s < n; ++s) {
         ArbLane &lane = arb_lanes_[std::size_t(s) * n + d];
         std::lock_guard<std::mutex> lk(lane.mu);
-        for (StagedArb &op : lane.ops)
-            pend.push_back(std::move(op));
+        pend.insert(pend.end(), lane.ops.begin(), lane.ops.end());
         drained_arb += lane.ops.size();
         lane.ops.clear();
     }
@@ -97,8 +116,8 @@ TaggedEngine::serviceDomain(std::uint32_t d)
             continue;
         Lane &lane = lanes_[std::size_t(s) * n + d];
         std::lock_guard<std::mutex> lk(lane.mu);
-        for (Entry &e : lane.evs)
-            heapPush(dom, std::move(e));
+        for (const Entry &e : lane.evs)
+            heapPush(dom, e);
         merged += lane.evs.size();
         lane.evs.clear();
     }
@@ -188,8 +207,8 @@ TaggedEngine::drainStaged()
     scratch_arb_.clear();
     for (ArbLane &lane : arb_lanes_) {
         std::lock_guard<std::mutex> lk(lane.mu);
-        for (StagedArb &op : lane.ops)
-            scratch_arb_.push_back(std::move(op));
+        scratch_arb_.insert(scratch_arb_.end(), lane.ops.begin(),
+                            lane.ops.end());
         lane.ops.clear();
     }
     std::sort(scratch_arb_.begin(), scratch_arb_.end(), arbBefore);
@@ -214,8 +233,8 @@ TaggedEngine::drainStaged()
         for (std::uint32_t d = 0; d < n; ++d) {
             Lane &lane = lanes_[std::size_t(s) * n + d];
             std::lock_guard<std::mutex> lk(lane.mu);
-            for (Entry &e : lane.evs)
-                heapPush(domains_[d], std::move(e));
+            for (const Entry &e : lane.evs)
+                heapPush(domains_[d], e);
             lane.evs.clear();
         }
     }
@@ -226,24 +245,24 @@ TaggedEngine::heapPush(Domain &dom, Entry e)
 {
     std::vector<Entry> &h = dom.heap;
     std::size_t i = h.size();
-    h.push_back(Entry{});
-    // Sift the hole up, moving parents down (no closure copies).
+    h.push_back(e);
+    // Sift the hole up, moving parents down.
     while (i > 0) {
         std::size_t p = (i - 1) >> 2;
         if (!entryBefore(e, h[p]))
             break;
-        h[i] = std::move(h[p]);
+        h[i] = h[p];
         i = p;
     }
-    h[i] = std::move(e);
+    h[i] = e;
 }
 
 TaggedEngine::Entry
 TaggedEngine::heapPop(Domain &dom)
 {
     std::vector<Entry> &h = dom.heap;
-    Entry out = std::move(h.front());
-    Entry tail = std::move(h.back());
+    const Entry out = h.front();
+    const Entry tail = h.back();
     h.pop_back();
     const std::size_t n = h.size();
     if (n > 0) {
@@ -260,10 +279,10 @@ TaggedEngine::heapPop(Domain &dom)
             }
             if (!entryBefore(h[m], tail))
                 break;
-            h[i] = std::move(h[m]);
+            h[i] = h[m];
             i = m;
         }
-        h[i] = std::move(tail);
+        h[i] = tail;
     }
     return out;
 }

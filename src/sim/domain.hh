@@ -60,10 +60,11 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/inline_fn.hh"
+#include "sim/event_cell.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -225,8 +226,6 @@ class ArbHook
 class TaggedEngine
 {
   public:
-    using Callback = InlineFn<void()>;
-
     /**
      * @param tag_domain  domain index for each tag; size = tag count.
      * @param domains     number of domains (>= 1).
@@ -248,6 +247,9 @@ class TaggedEngine
             barre_assert(d < domains,
                          "tag mapped to domain %u of %u", d, domains);
     }
+
+    /** Destroys the payloads of events that never fired. */
+    ~TaggedEngine();
 
     TaggedEngine(const TaggedEngine &) = delete;
     TaggedEngine &operator=(const TaggedEngine &) = delete;
@@ -341,9 +343,13 @@ class TaggedEngine
         return la_[std::size_t(src) * domains() + dst];
     }
 
-    /** Schedule @p cb on the current tag at absolute tick @p when. */
+    /**
+     * Schedule @p fn on the current tag at absolute tick @p when. The
+     * callable is constructed once, in its event cell, from @p fn.
+     */
+    template <EventCallable F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&fn)
     {
         ExecCtx &ctx = detail::tls_exec;
         barre_assert(ctx.engine == this,
@@ -354,45 +360,50 @@ class TaggedEngine
                      (unsigned long long)when,
                      (unsigned long long)dom.now);
         dom.net += 1;
-        heapPush(dom, Entry{when, dom.now, allocKey(ctx.tag), ctx.tag,
-                            std::move(cb)});
+        heapPush(dom, Entry{when, dom.now, allocKey(ctx.tag),
+                            EventCell::make(std::forward<F>(fn)),
+                            ctx.tag});
     }
 
-    /** Schedule @p cb on the current tag @p delay cycles from now. */
+    /** Schedule @p fn on the current tag @p delay cycles from now. */
+    template <EventCallable F>
     void
-    scheduleAfter(Cycles delay, Callback cb)
+    scheduleAfter(Cycles delay, F &&fn)
     {
         ExecCtx &ctx = detail::tls_exec;
         barre_assert(ctx.engine == this,
                      "tagged schedule outside any execution context");
         Domain &dom = domains_[ctx.domain];
         dom.net += 1;
-        heapPush(dom, Entry{dom.now + delay, dom.now,
-                            allocKey(ctx.tag), ctx.tag, std::move(cb)});
+        heapPush(dom, Entry{dom.now + delay, dom.now, allocKey(ctx.tag),
+                            EventCell::make(std::forward<F>(fn)),
+                            ctx.tag});
     }
 
     /**
-     * Schedule @p cb to execute as tag @p dst at tick @p when. The
+     * Schedule @p fn to execute as tag @p dst at tick @p when. The
      * delivery key is allocated from the *sending* tag's counter (the
      * caller's context), keeping allocation race-free and partition-
      * independent. Same-domain and non-running sends insert directly;
      * cross-domain sends during a run stage on the (src, dst) channel
      * lane until the receiver's safe horizon passes them.
      */
+    template <EventCallable F>
     void
-    scheduleCross(SeqTag dst, Tick when, Callback cb)
+    scheduleCross(SeqTag dst, Tick when, F &&fn)
     {
         ExecCtx &ctx = detail::tls_exec;
         barre_assert(ctx.engine == this,
                      "tagged schedule outside any execution context");
         const std::uint32_t dd = tag_domain_[dst];
         Domain &src = domains_[ctx.domain];
-        Entry e{when, src.now, allocKey(ctx.tag), dst, std::move(cb)};
         if (!running_ || dd == ctx.domain) {
             barre_assert(when >= domains_[dd].now,
                          "cross schedule into the past");
             src.net += 1;
-            heapPush(domains_[dd], std::move(e));
+            heapPush(domains_[dd],
+                     Entry{when, src.now, allocKey(ctx.tag),
+                           EventCell::make(std::forward<F>(fn)), dst});
             return;
         }
         // The channel lookahead must lower-bound every delivery on
@@ -418,9 +429,11 @@ class TaggedEngine
                 (unsigned long long)horizon_));
         }
         src.net += 1;
+        const Entry e{when, src.now, allocKey(ctx.tag),
+                      EventCell::make(std::forward<F>(fn)), dst};
         Lane &lane = lanes_[std::size_t(ctx.domain) * domains() + dd];
         std::lock_guard<std::mutex> lk(lane.mu);
-        lane.evs.push_back(std::move(e));
+        lane.evs.push_back(e);
     }
 
     /**
@@ -432,9 +445,10 @@ class TaggedEngine
      * is unknowable until every competitor that sorts earlier is
      * visible).
      */
+    template <EventCallable F>
     Tick
     stageArb(SeqTag owner, ArbHook &hook, std::uint64_t bytes,
-             Callback deliver)
+             F &&deliver)
     {
         ExecCtx &ctx = detail::tls_exec;
         barre_assert(ctx.engine == this,
@@ -446,8 +460,9 @@ class TaggedEngine
         if (!running_ || !multiDomain()) {
             const Tick arrive = hook.arbitrate(sent, bytes);
             heapPush(domains_[od],
-                     Entry{arrive, sent, allocKey(ctx.tag), owner,
-                           std::move(deliver)});
+                     Entry{arrive, sent, allocKey(ctx.tag),
+                           EventCell::make(std::forward<F>(deliver)),
+                           owner});
             return arrive;
         }
         StagedArb op;
@@ -460,11 +475,11 @@ class TaggedEngine
         op.owner = owner;
         op.bytes = bytes;
         op.hook = &hook;
-        op.deliver = std::move(deliver);
+        op.deliver = EventCell::make(std::forward<F>(deliver));
         ArbLane &lane =
             arb_lanes_[std::size_t(ctx.domain) * domains() + od];
         std::lock_guard<std::mutex> lk(lane.mu);
-        lane.ops.push_back(std::move(op));
+        lane.ops.push_back(op);
         return 0;
     }
 
@@ -494,24 +509,30 @@ class TaggedEngine
     {
         Domain &dom = domains_[d];
         ExecCtx &ctx = detail::tls_exec;
-        ExecCtx saved = ctx;
+        // Restore the caller's context on every exit, a panicking
+        // callback included, so no stale engine pointer outlives it.
+        struct Restore
+        {
+            ExecCtx &ctx;
+            ExecCtx saved;
+            ~Restore() { ctx = saved; }
+        } restore{ctx, ctx};
         ctx.engine = this;
         ctx.domain = d;
         std::uint64_t fired = 0;
         while (!dom.heap.empty() && dom.heap.front().when < horizon) {
-            Entry e = heapPop(dom);
+            const Entry e = heapPop(dom);
             dom.now = e.when;
             ctx.tag = e.tag;
             ctx.ev_birth = e.birth;
             ctx.ev_key = e.key;
             ctx.op_ctr = 0;
             digestFire(e);
-            e.cb();
+            e.cell->fire();
             ++fired;
             BARRE_AUDIT_EVERY(dom.audit_tick, kAuditPeriod,
                               auditDomain(d));
         }
-        ctx = saved;
         dom.fired += fired;
         dom.net -= std::int64_t(fired);
         return fired;
@@ -635,15 +656,22 @@ class TaggedEngine
     };
 
   private:
-    /** One pending event: fires in (when, birth, key) order. */
+    /**
+     * One pending event: fires in (when, birth, key) order. A POD; the
+     * callable stays put in its cell while heaps sift and lanes merge.
+     */
     struct Entry
     {
         Tick when;
         Tick birth;        ///< sender domain's clock at schedule time
         std::uint64_t key; ///< origin tag << 48 | per-tag counter
+        EventCell *cell;   ///< the payload, fired in place
         SeqTag tag;        ///< tag whose state the callback mutates
-        Callback cb;
     };
+    static_assert(sizeof(Entry) <= 40 &&
+                      std::is_trivially_copyable_v<Entry>,
+                  "domain heap entries must stay small PODs; the "
+                  "payload belongs in its EventCell");
 
     /** A shared-resource send awaiting key-ordered arbitration. */
     struct StagedArb
@@ -657,8 +685,9 @@ class TaggedEngine
         SeqTag owner;          ///< tag owning the shared resource
         std::uint64_t bytes;
         ArbHook *hook;
-        Callback deliver;
+        EventCell *deliver; ///< owned until replayed (then nullptr)
     };
+    static_assert(std::is_trivially_copyable_v<StagedArb>);
 
     /** Directed channel lane: src worker stages, dst worker drains. */
     struct alignas(64) Lane

@@ -15,8 +15,8 @@
  * as the overflow backstop for far-future events (DRAM/PCIe completions
  * under congestion, coarse timeouts). A FIFO fast lane holds events
  * scheduled *at* the current tick; when time advances to a bucket's
- * tick, that bucket is swapped into the lane wholesale, recycling the
- * lane's storage, so bucket vectors are allocated once and reused.
+ * tick, that bucket's entries are copied into the lane, so every
+ * vector is allocated once, to its own peak, and reused.
  *
  * Determinism: firing order is the exact total order (when, seq) no
  * matter which structure holds an event. The key property is that for
@@ -27,9 +27,11 @@
  * (fireNowOrTiedHeapTop) restores the global order after a bucket is
  * promoted into the lane. auditInvariants() checks this boundary.
  *
- * Event payloads are InlineFn (sim/inline_fn.hh): move-only callables
- * with a 48-byte inline buffer, so the common 2–3-pointer capture
- * schedules without any heap allocation.
+ * Event payloads live in EventCells (sim/event_cell.hh): the callable
+ * passed to schedule() is constructed once in a pooled cell, invoked in
+ * place and destroyed in place. The lane, buckets and heap hold only
+ * 24-byte POD entries (tick, packed seq+tag, cell pointer), so vector
+ * growth, bucket promotion and heap sifts never move a closure.
  */
 
 #pragma once
@@ -38,10 +40,12 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/domain.hh"
+#include "sim/event_cell.hh"
 #include "sim/inline_fn.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
@@ -75,11 +79,24 @@ enum class QueueMode
 class EventQueue
 {
   public:
+    /** The stored-continuation type components pass along (`done`). */
     using Callback = InlineFn<void()>;
 
     explicit EventQueue(QueueMode mode = QueueMode::ladder) : mode_(mode)
     {
         heap_.reserve(kReserve);
+    }
+
+    /** Destroys the payloads of events that never fired. */
+    ~EventQueue()
+    {
+        for (const Entry &e : heap_)
+            e.cell->discard();
+        for (std::size_t i = now_head_; i < now_lane_.size(); ++i)
+            now_lane_[i].cell->discard();
+        for (const std::vector<Entry> &b : buckets_)
+            for (const Entry &e : b)
+                e.cell->discard();
     }
 
     EventQueue(const EventQueue &) = delete;
@@ -142,39 +159,42 @@ class EventQueue
     const TaggedEngine *taggedEngine() const { return tagged_.get(); }
 
     /**
-     * Schedule @p cb to execute as tag @p dst at tick @p when. Legacy
+     * Schedule @p fn to execute as tag @p dst at tick @p when. Legacy
      * mode has only one sequence, but still stamps @p dst on the entry
      * so the domain-ownership audit sees the delivery execute under
      * the destination's tag (sim/domain_guard.hh).
      */
+    template <EventCallable F>
     void
-    scheduleCross(SeqTag dst, Tick when, Callback cb)
+    scheduleCross(SeqTag dst, Tick when, F &&fn)
     {
         if (tagged_) {
-            tagged_->scheduleCross(dst, when, std::move(cb));
+            tagged_->scheduleCross(dst, when, std::forward<F>(fn));
             return;
         }
         barre_assert(when >= now_,
                      "scheduling into the past (%llu < %llu)",
                      (unsigned long long)when, (unsigned long long)now_);
-        scheduleTagged(when, dst, std::move(cb));
+        scheduleTagged(when, dst, EventCell::make(std::forward<F>(fn)));
     }
 
     /**
      * Send through a shared resource owned by tag @p owner: resolve
      * @p hook 's arbitration in deterministic global order and deliver
-     * @p cb at the resulting tick. Legacy mode arbitrates inline.
+     * @p fn at the resulting tick. Legacy mode arbitrates inline.
      * @return the delivery tick, or 0 when staged for the epoch
      *         barrier (partitioned multi-domain mode).
      */
+    template <EventCallable F>
     Tick
-    stageArb(SeqTag owner, ArbHook &hook, std::uint64_t bytes,
-             Callback cb)
+    stageArb(SeqTag owner, ArbHook &hook, std::uint64_t bytes, F &&fn)
     {
-        if (tagged_)
-            return tagged_->stageArb(owner, hook, bytes, std::move(cb));
+        if (tagged_) {
+            return tagged_->stageArb(owner, hook, bytes,
+                                     std::forward<F>(fn));
+        }
         const Tick when = hook.arbitrate(now_, bytes);
-        scheduleTagged(when, owner, std::move(cb));
+        scheduleTagged(when, owner, EventCell::make(std::forward<F>(fn)));
         return when;
     }
 
@@ -199,39 +219,43 @@ class EventQueue
     };
 
     /**
-     * Schedule @p cb to fire at absolute tick @p when.
+     * Schedule @p fn to fire at absolute tick @p when. The callable is
+     * constructed once, in its event cell, straight from @p fn.
      * @pre when >= now()
      */
+    template <EventCallable F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&fn)
     {
         if (tagged_) {
-            tagged_->schedule(when, std::move(cb));
+            tagged_->schedule(when, std::forward<F>(fn));
             return;
         }
         barre_assert(when >= now_,
                      "scheduling into the past (%llu < %llu)",
                      (unsigned long long)when, (unsigned long long)now_);
-        scheduleTagged(when, detail::tls_exec.tag, std::move(cb));
+        scheduleTagged(when, detail::tls_exec.tag,
+                       EventCell::make(std::forward<F>(fn)));
     }
 
     /**
-     * Schedule @p cb to fire @p delay cycles from now.
+     * Schedule @p fn to fire @p delay cycles from now.
      *
      * Fast path: a relative delay can never land in the past, so the
      * range assert is skipped; zero-delay events go to the FIFO fast
      * lane and in-window delays to their ladder bucket, skipping the
      * heap entirely.
      */
+    template <EventCallable F>
     void
-    scheduleAfter(Cycles delay, Callback cb)
+    scheduleAfter(Cycles delay, F &&fn)
     {
         if (tagged_) {
-            tagged_->scheduleAfter(delay, std::move(cb));
+            tagged_->scheduleAfter(delay, std::forward<F>(fn));
             return;
         }
         scheduleTagged(now_ + delay, detail::tls_exec.tag,
-                       std::move(cb));
+                       EventCell::make(std::forward<F>(fn)));
     }
 
     /**
@@ -257,9 +281,7 @@ class EventQueue
                     promoteBucket(next);
                     continue; // promotion fires nothing by itself
                 }
-                Entry e = heapPop();
-                detail::tls_exec.tag = e.tag;
-                e.cb();
+                fire(heapPop());
             } else {
                 fireNowOrTiedHeapTop();
             }
@@ -295,9 +317,7 @@ class EventQueue
                     promoteBucket(next);
                     continue;
                 }
-                Entry e = heapPop();
-                detail::tls_exec.tag = e.tag;
-                e.cb();
+                fire(heapPop());
             } else if (now_ <= until) {
                 fireNowOrTiedHeapTop();
             } else {
@@ -327,6 +347,9 @@ class EventQueue
     void
     auditInvariants() const
     {
+        barre_assert(seq_ < (std::uint64_t{1} << (64 - kTagBits)),
+                     "event sequence number overflowed its %d bits",
+                     int(64 - kTagBits));
         const std::size_t n = heap_.size();
         for (std::size_t i = 0; i < n; ++i) {
             barre_assert(heap_[i].when >= now_,
@@ -337,8 +360,7 @@ class EventQueue
             if (i == 0)
                 continue;
             const std::size_t p = (i - 1) >> 2;
-            barre_assert(!before(heap_[i].when, heap_[i].seq,
-                                 heap_[p].when, heap_[p].seq),
+            barre_assert(!before(heap_[i], heap_[p]),
                          "4-ary heap order violated at index %zu", i);
         }
         barre_assert(now_head_ <= now_lane_.size(),
@@ -350,7 +372,7 @@ class EventQueue
                          i, (unsigned long long)now_lane_[i].when,
                          (unsigned long long)now_);
             barre_assert(i == now_head_ ||
-                         now_lane_[i - 1].seq < now_lane_[i].seq,
+                         now_lane_[i - 1].order < now_lane_[i].order,
                          "fast lane is not FIFO at entry %zu", i);
         }
         auditLadder();
@@ -368,30 +390,52 @@ class EventQueue
     }
 
   private:
+    static constexpr int kTagBits = 16;
+
+    /**
+     * One pending event. `order` packs the sequence number above the
+     * tag; sequence numbers are unique, so comparing `order` compares
+     * seq. The tag is the one whose state the callback mutates.
+     */
     struct Entry
     {
         Tick when;
-        std::uint64_t seq;
-        SeqTag tag; ///< tag whose state the callback mutates
-        Callback cb;
+        std::uint64_t order; ///< seq << kTagBits | tag
+        EventCell *cell;
+
+        SeqTag tag() const { return SeqTag(order); }
     };
+    static_assert(sizeof(Entry) <= 24 &&
+                      std::is_trivially_copyable_v<Entry>,
+                  "queue entries must stay small PODs; the payload "
+                  "belongs in its EventCell");
+    static_assert(sizeof(SeqTag) * 8 == kTagBits);
 
     /**
-     * Route an entry carrying @p tag to the lane/ladder/heap. The tag
+     * Route @p cell, carrying @p tag, to the lane/ladder/heap. The tag
      * plays no part in firing order — (when, seq) stays the exact
      * total order, so results are bitwise identical to a tagless
      * queue — it only feeds currentExecTag() during the callback so
      * the domain audit can attribute accesses.
      */
     void
-    scheduleTagged(Tick when, SeqTag tag, Callback cb)
+    scheduleTagged(Tick when, SeqTag tag, EventCell *cell)
     {
+        const Entry e{when, (seq_++ << kTagBits) | tag, cell};
         if (when == now_)
-            pushNowLane(tag, std::move(cb));
+            now_lane_.push_back(e);
         else if (mode_ == QueueMode::ladder && when - now_ < kWindow)
-            pushBucket(when, tag, std::move(cb));
+            pushBucket(e);
         else
-            heapPush(Entry{when, seq_++, tag, std::move(cb)});
+            heapPush(e);
+    }
+
+    /** Run @p e 's callback in place under its tag; frees its cell. */
+    static void
+    fire(Entry e)
+    {
+        detail::tls_exec.tag = e.tag();
+        e.cell->fire();
     }
 
     /**
@@ -427,40 +471,34 @@ class EventQueue
     static constexpr std::size_t kBitmapWords = kWindow / 64;
 
     static bool
-    before(Tick wa, std::uint64_t sa, Tick wb, std::uint64_t sb)
+    before(const Entry &a, const Entry &b)
     {
-        return wa != wb ? wa < wb : sa < sb;
+        return a.when != b.when ? a.when < b.when : a.order < b.order;
     }
-
-    bool nowLaneEmpty() const { return now_head_ == now_lane_.size(); }
 
     /**
      * All entries in the fast lane carry when == now_: they are pushed
      * at the current tick, and now_ cannot advance while the lane is
      * non-empty (an event with a later tick is never the minimum then).
      */
-    void
-    pushNowLane(SeqTag tag, Callback cb)
-    {
-        now_lane_.push_back(Entry{now_, seq_++, tag, std::move(cb)});
-    }
+    bool nowLaneEmpty() const { return now_head_ == now_lane_.size(); }
 
     /**
-     * Append to the ladder bucket for @p when.
-     * @pre now_ < when && when - now_ < kWindow (so the slot is free of
-     * any other tick: the window spans less than one full rotation, and
-     * slot now_ & kSlotMask — the only aliasing candidate — is never
-     * occupied because tick now_ routes to the lane and tick
-     * now_ + kWindow is outside the window).
+     * Append @p e to the ladder bucket for its tick.
+     * @pre now_ < e.when && e.when - now_ < kWindow (so the slot is
+     * free of any other tick: the window spans less than one full
+     * rotation, and slot now_ & kSlotMask — the only aliasing
+     * candidate — is never occupied because tick now_ routes to the
+     * lane and tick now_ + kWindow is outside the window).
      */
     void
-    pushBucket(Tick when, SeqTag tag, Callback cb)
+    pushBucket(const Entry &e)
     {
-        const std::size_t slot = when & kSlotMask;
+        const std::size_t slot = e.when & kSlotMask;
         std::vector<Entry> &b = buckets_[slot];
         if (b.empty())
             bucket_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        b.push_back(Entry{when, seq_++, tag, std::move(cb)});
+        b.push_back(e);
         ++bucket_count_;
     }
 
@@ -514,20 +552,21 @@ class EventQueue
     }
 
     /**
-     * Swap the bucket for tick @p when (== now_) into the empty fast
-     * lane. The vectors trade storage, so the lane's capacity from the
-     * previous tick becomes the bucket's scratch space — steady-state
-     * operation allocates nothing.
+     * Move the bucket for tick @p when (== now_) into the empty fast
+     * lane. Entries are 24-byte PODs, so the copy is a memcpy; each
+     * vector keeps its own storage and grows only to its own peak, so
+     * steady-state operation allocates nothing.
      */
     void
     promoteBucket(Tick when)
     {
         const std::size_t slot = when & kSlotMask;
-        now_lane_.swap(buckets_[slot]);
+        std::vector<Entry> &b = buckets_[slot];
+        now_lane_.assign(b.begin(), b.end());
         now_head_ = 0;
         bucket_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-        bucket_count_ -= now_lane_.size();
-        buckets_[slot].clear();
+        bucket_count_ -= b.size();
+        b.clear();
     }
 
     /**
@@ -538,43 +577,40 @@ class EventQueue
     fireNowOrTiedHeapTop()
     {
         if (!heap_.empty() && heap_.front().when == now_ &&
-            heap_.front().seq < now_lane_[now_head_].seq) {
-            Entry e = heapPop();
-            detail::tls_exec.tag = e.tag;
-            e.cb();
+            heap_.front().order < now_lane_[now_head_].order) {
+            fire(heapPop());
             return;
         }
-        Entry e = std::move(now_lane_[now_head_++]);
+        const Entry e = now_lane_[now_head_++];
         if (nowLaneEmpty()) {
             now_lane_.clear();
             now_head_ = 0;
         }
-        detail::tls_exec.tag = e.tag;
-        e.cb();
+        fire(e);
     }
 
     void
     heapPush(Entry e)
     {
         std::size_t i = heap_.size();
-        heap_.push_back(Entry{});
-        // Sift the hole up, moving parents down (no closure copies).
+        heap_.push_back(e);
+        // Sift the hole up, moving parents down.
         while (i > 0) {
             std::size_t p = (i - 1) >> 2;
-            if (!before(e.when, e.seq, heap_[p].when, heap_[p].seq))
+            if (!before(e, heap_[p]))
                 break;
-            heap_[i] = std::move(heap_[p]);
+            heap_[i] = heap_[p];
             i = p;
         }
-        heap_[i] = std::move(e);
+        heap_[i] = e;
     }
 
-    /** Remove and return the minimum (when, seq) entry by move. */
+    /** Remove and return the minimum (when, seq) entry. */
     Entry
     heapPop()
     {
-        Entry out = std::move(heap_.front());
-        Entry tail = std::move(heap_.back());
+        const Entry out = heap_.front();
+        const Entry tail = heap_.back();
         heap_.pop_back();
         const std::size_t n = heap_.size();
         if (n > 0) {
@@ -586,17 +622,15 @@ class EventQueue
                 std::size_t m = c;
                 const std::size_t end = c + 4 < n ? c + 4 : n;
                 for (++c; c < end; ++c) {
-                    if (before(heap_[c].when, heap_[c].seq,
-                               heap_[m].when, heap_[m].seq))
+                    if (before(heap_[c], heap_[m]))
                         m = c;
                 }
-                if (!before(heap_[m].when, heap_[m].seq, tail.when,
-                            tail.seq))
+                if (!before(heap_[m], tail))
                     break;
-                heap_[i] = std::move(heap_[m]);
+                heap_[i] = heap_[m];
                 i = m;
             }
-            heap_[i] = std::move(tail);
+            heap_[i] = tail;
         }
         return out;
     }
@@ -631,7 +665,7 @@ class EventQueue
                              "bucket %zu mixes ticks %llu and %llu",
                              slot, (unsigned long long)when,
                              (unsigned long long)b[i].when);
-                barre_assert(i == 0 || b[i - 1].seq < b[i].seq,
+                barre_assert(i == 0 || b[i - 1].order < b[i].order,
                              "bucket %zu is not FIFO at entry %zu",
                              slot, i);
             }
@@ -648,12 +682,12 @@ class EventQueue
             const std::vector<Entry> &b = buckets_[e.when & kSlotMask];
             if (b.empty() || b.front().when != e.when)
                 continue;
-            barre_assert(e.seq < b.front().seq,
+            barre_assert(e.order < b.front().order,
                          "heap entry at tick %llu (seq %llu) scheduled "
                          "after bucket entry (seq %llu)",
                          (unsigned long long)e.when,
-                         (unsigned long long)e.seq,
-                         (unsigned long long)b.front().seq);
+                         (unsigned long long)(e.order >> kTagBits),
+                         (unsigned long long)(b.front().order >> kTagBits));
         }
     }
 
@@ -675,9 +709,8 @@ class EventQueue
 };
 
 /**
- * The whole point of InlineFn here: per-event scheduling must not touch
- * the allocator for ordinary captures. Guard against regressing back
- * to a heap-allocating payload type.
+ * A stored continuation with an ordinary capture must not need an
+ * out-of-line block. Guard against regressing the inline buffer.
  */
 static_assert(
     EventQueue::Callback::fitsInline<decltype([p = (void *)nullptr,

@@ -4,10 +4,15 @@
  *
  * InlineFn<R(Args...)> replaces std::function on the event hot path:
  * the common simulator capture — two or three pointers plus a couple of
- * scalars — is stored inline in a 48-byte buffer, so scheduling an
- * event performs no heap allocation. Larger callables (deeply nested
- * continuation lambdas) transparently fall back to the heap, which is
- * no worse than what std::function did for them.
+ * scalars — is stored inline in a 48-byte buffer. Larger callables
+ * (nested continuation lambdas that capture another InlineFn) live out
+ * of line in a block from the same per-thread free lists as event
+ * payloads (sim/cell_pool.hh), so they cost no operator new either once
+ * the pool is warm.
+ *
+ * Moving an InlineFn relocates its target. Out-of-line and trivially
+ * copyable targets move with a plain memcpy of the buffer; only inline
+ * targets with a real move constructor take an indirect call.
  *
  * Differences from std::function, on purpose:
  *   - move-only: events are consumed exactly once, and banning copies
@@ -21,10 +26,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstring>
+#include <new>
 #include <type_traits>
 #include <utility>
 
+#include "sim/cell_pool.hh"
 #include "sim/logging.hh"
 
 namespace barre
@@ -55,31 +62,22 @@ class InlineFn<R(Args...), Cap>
             ::new (slot) Fn(std::forward<F>(fn)); // lint-allow:naked-new
             vt_ = &inline_vtable<Fn>;
         } else {
-            // Erased ownership: the pointer parked in buf_ is reclaimed
-            // by HeapModel::destroy below.
+            // Erased ownership: the pooled block parked in buf_ is
+            // reclaimed by HeapModel::destroy below.
             ::new (slot) Fn *( // lint-allow:naked-new
-                std::make_unique<Fn>(std::forward<F>(fn)).release());
+                cell_pool::create<Fn>(std::forward<F>(fn)));
             vt_ = &heap_vtable<Fn>;
         }
     }
 
-    InlineFn(InlineFn &&other) noexcept
-    {
-        if (other.vt_) {
-            other.vt_->relocate(buf_, other.buf_);
-            vt_ = std::exchange(other.vt_, nullptr);
-        }
-    }
+    InlineFn(InlineFn &&other) noexcept { take(other); }
 
     InlineFn &
     operator=(InlineFn &&other) noexcept
     {
         if (this != &other) {
             reset();
-            if (other.vt_) {
-                other.vt_->relocate(buf_, other.buf_);
-                vt_ = std::exchange(other.vt_, nullptr);
-            }
+            take(other);
         }
         return *this;
     }
@@ -107,7 +105,8 @@ class InlineFn<R(Args...), Cap>
     reset() noexcept
     {
         if (vt_) {
-            vt_->destroy(buf_);
+            if (vt_->destroy)
+                vt_->destroy(buf_);
             vt_ = nullptr;
         }
     }
@@ -118,8 +117,7 @@ class InlineFn<R(Args...), Cap>
     fitsInline()
     {
         using Fn = std::decay_t<F>;
-        return sizeof(Fn) <= Cap &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
+        return sizeof(Fn) <= Cap && alignof(Fn) <= alignof(void *) &&
                std::is_nothrow_move_constructible_v<Fn>;
     }
 
@@ -127,10 +125,27 @@ class InlineFn<R(Args...), Cap>
     struct VTable
     {
         R (*invoke)(void *self, Args &&...args);
-        /** Move-construct into @p dst from @p src, then destroy src. */
+        /**
+         * Move-construct into @p dst from @p src, then destroy src;
+         * nullptr when a memcpy of the buffer does the same.
+         */
         void (*relocate)(void *dst, void *src) noexcept;
+        /** nullptr when the target is trivially destructible. */
         void (*destroy)(void *self) noexcept;
     };
+
+    /** Adopt @p other 's target, leaving it empty. @pre *this empty. */
+    void
+    take(InlineFn &other) noexcept
+    {
+        if (!other.vt_)
+            return;
+        if (other.vt_->relocate)
+            other.vt_->relocate(buf_, other.buf_);
+        else
+            std::memcpy(buf_, other.buf_, Cap);
+        vt_ = std::exchange(other.vt_, nullptr);
+    }
 
     template <typename Fn>
     struct InlineModel
@@ -168,29 +183,25 @@ class InlineFn<R(Args...), Cap>
         }
 
         static void
-        relocate(void *dst, void *src) noexcept
-        {
-            ::new (dst) Fn *(ptr(src)); // lint-allow:naked-new
-        }
-
-        static void
         destroy(void *self) noexcept
         {
-            std::unique_ptr<Fn> owned(ptr(self));
+            cell_pool::destroy(ptr(self));
         }
     };
 
     template <typename Fn>
-    static constexpr VTable inline_vtable{&InlineModel<Fn>::invoke,
-                                          &InlineModel<Fn>::relocate,
-                                          &InlineModel<Fn>::destroy};
+    static constexpr VTable inline_vtable{
+        &InlineModel<Fn>::invoke,
+        std::is_trivially_copyable_v<Fn> ? nullptr
+                                         : &InlineModel<Fn>::relocate,
+        std::is_trivially_destructible_v<Fn> ? nullptr
+                                             : &InlineModel<Fn>::destroy};
 
     template <typename Fn>
-    static constexpr VTable heap_vtable{&HeapModel<Fn>::invoke,
-                                        &HeapModel<Fn>::relocate,
+    static constexpr VTable heap_vtable{&HeapModel<Fn>::invoke, nullptr,
                                         &HeapModel<Fn>::destroy};
 
-    alignas(std::max_align_t) mutable unsigned char buf_[Cap];
+    alignas(void *) mutable unsigned char buf_[Cap];
     const VTable *vt_ = nullptr;
 };
 

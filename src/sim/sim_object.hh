@@ -36,10 +36,11 @@ class SimObject
 
   protected:
     /** Schedule a member-ish closure @p delay cycles from now. */
+    template <EventCallable F>
     void
-    after(Cycles delay, EventQueue::Callback cb)
+    after(Cycles delay, F &&fn)
     {
-        eq_.scheduleAfter(delay, std::move(cb));
+        eq_.scheduleAfter(delay, std::forward<F>(fn));
     }
 
   private:

@@ -199,9 +199,12 @@ struct Parser
             } else if (auto sc = strings.find("scheduler");
                        sc != strings.end()) {
                 seg = sc->second;
-                if (auto th = elem.find("threads"); th != elem.end())
-                    seg += "@" + std::to_string(
-                                     static_cast<long>(th->second));
+                if (auto th = elem.find("threads"); th != elem.end()) {
+                    // Two appends: GCC 12 misreports "@" + to_string()
+                    // as overlapping (-Wrestrict).
+                    seg += '@';
+                    seg += std::to_string(static_cast<long>(th->second));
+                }
             }
             strings.swap(outer_strings);
             if (!ok)

@@ -2,9 +2,11 @@
 # Build Release and run the self-benchmarks (parallel runner + event
 # queue + partitioned sim + multi-tenant churn + per-layer ns/op);
 # writes one schema-versioned
-# BENCH_<family>.json per bench family at the repo root. Used to track
-# the perf trajectory PR over PR (tools/perf_diff refuses to compare
-# files whose schema_version differs).
+# BENCH_<family>.json per bench family at the repo root (gitignored;
+# tools/perf_diff refuses to compare files whose schema_version
+# differs) and appends one line to the checked-in perf history
+# bench/trajectory.jsonl: commit, host_cores, build type and each
+# family's headline numbers.
 #
 #   tools/run_benches.sh                 # all cores
 #   BARRE_JOBS=8 tools/run_benches.sh    # fixed worker count
@@ -37,3 +39,55 @@ for family in runner event_queue pdes tenants layers; do
     echo "--- BENCH_$family.json"
     cat "$root/BENCH_$family.json"
 done
+
+commit=$(git -C "$root" rev-parse --short HEAD 2>/dev/null || echo unknown)
+dirty=false
+if [ -n "$(git -C "$root" status --porcelain --untracked-files=no \
+        2>/dev/null)" ]; then
+    dirty=true
+fi
+python3 - "$root" "$commit" "$dirty" >>"$root/bench/trajectory.jsonl" <<'PY'
+import datetime, json, os, sys
+
+root, commit, dirty = sys.argv[1], sys.argv[2], sys.argv[3] == "true"
+
+def load(family):
+    with open(os.path.join(root, f"BENCH_{family}.json")) as f:
+        return json.load(f)
+
+runner = load("runner")
+eq = load("event_queue")["event_queue"]
+pdes = load("pdes")
+tenants = load("tenants")
+layers = load("layers")
+wall = sum(c["wall_s"] for c in tenants["cells"])
+line = {
+    "commit": commit,
+    "dirty": dirty,
+    "date": datetime.datetime.now(datetime.timezone.utc)
+                    .strftime("%Y-%m-%dT%H:%M:%SZ"),
+    "host_cores": runner["host_cores"],
+    "build_type": "Release",
+    "families": {
+        "runner": {k: runner[k] for k in (
+            "serial_wall_s", "parallel_wall_s", "speedup",
+            "serial_events_per_s", "eventqueue_events_per_s")},
+        "event_queue": {k: v for k, v in eq.items()
+                        if k.endswith(("_eps", "_speedup"))},
+        "pdes": {f"{c['name']}.{k}": c[k] for c in pdes["configs"]
+                 for k in ("legacy_events_per_s",
+                           "tagged_serial_events_per_s",
+                           "async_vs_epoch")},
+        "tenants": {
+            "wall_s": round(wall, 6),
+            "events_per_s": round(sum(c["sim_events"]
+                                      for c in tenants["cells"]) / wall)
+                            if wall > 0 else 0,
+        },
+        "layers": {l["name"]: l["ns_per_op"] for l in layers["layers"]},
+    },
+}
+print(json.dumps(line, sort_keys=True))
+PY
+echo "--- appended to bench/trajectory.jsonl"
+tail -n 1 "$root/bench/trajectory.jsonl"
