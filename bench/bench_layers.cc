@@ -17,10 +17,20 @@
  *     nested continuation capture larger than InlineFn's 48-byte
  *     buffer, on the legacy EventQueue and on a single-domain
  *     TaggedEngine (the payload cell, the ladder or domain heap, and
- *     the in-place fire).
+ *     the in-place fire);
+ *   - the set-associative tag stores at Table II geometry: an L1 TLB
+ *     hit (64 entries, one fully associative set), an L1 TLB miss plus
+ *     its 64-way fill, an L2 TLB lookup (512 entries, 16-way; half
+ *     hits, half misses), and an L1 (16 KiB, 4-way) and L2 (2 MiB,
+ *     16-way) data-cache access over a random line stream twice the
+ *     cache's capacity.
  *
  * Filters use the Table II geometry (256 rows x 4 ways, 9-bit
  * fingerprints, 128 kicks); allocators hold 2 GiB of 4 KiB frames.
+ *
+ * Every row is timed in five passes of equal budget; ns_per_op is the
+ * median pass, ns_min and ns_max the fastest and slowest, so two runs
+ * can be told apart from the spread of one.
  *
  *   build/bench/bench_layers [out.json]   # default BENCH_layers.json
  *   build/bench/bench_layers --smoke      # seconds, no file writes
@@ -30,6 +40,7 @@
  * saturation).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -40,10 +51,13 @@
 #include <thread>
 #include <vector>
 
+#include "cache/cache.hh"
 #include "filters/cuckoo_filter.hh"
+#include "gpu/chiplet.hh"
 #include "mem/frame_allocator.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
+#include "tlb/tlb.hh"
 
 using namespace barre;
 
@@ -62,9 +76,11 @@ nsSince(Clock::time_point t0)
 struct Layer
 {
     std::string name;
-    double ns_per_op = 0;
+    double ns_per_op = 0; ///< median pass (one pass inside a row fn)
     std::uint64_t ops = 0;
     double lossy_share = -1; ///< only for filter inserts; <0 = n/a
+    double ns_min = 0;       ///< fastest of the timed passes
+    double ns_max = 0;       ///< slowest of the timed passes
 };
 
 bool ok = true;
@@ -337,6 +353,180 @@ scheduleFire(const std::string &name, bool tagged, double budget_ns)
     return l;
 }
 
+/** Table II chiplet geometry (TLBs and caches). */
+const ChipletParams kTableII{};
+
+TlbEntry
+tlbEntry(ProcessId pid, Vpn vpn)
+{
+    TlbEntry e;
+    e.pid = pid;
+    e.vpn = vpn;
+    e.pfn = vpn ^ 0x5a5a;
+    e.valid = true;
+    return e;
+}
+
+/**
+ * L1 TLB hit: the 64-entry, 64-way TLB is filled, then resident keys
+ * are looked up in a shuffled order (one set: every lookup scans it).
+ */
+Layer
+tlbL1Hit(double budget_ns)
+{
+    const TlbParams &p = kTableII.l1_tlb;
+    Tlb tlb(p);
+    Rng rng(0x11);
+    std::vector<Vpn> keys;
+    for (std::uint32_t i = 0; i < p.entries; ++i) {
+        keys.push_back(0x40000 + rng.below(1 << 20));
+        tlb.insert(tlbEntry(1, keys.back()));
+    }
+    std::vector<Vpn> probes;
+    for (std::size_t i = 0; i < 4096; ++i)
+        probes.push_back(keys[rng.below(keys.size())]);
+    Layer l{"tlb_l1_hit"};
+    double timed = 0;
+    std::uint64_t sum = 0;
+    while (timed < budget_ns) {
+        const auto t0 = Clock::now();
+        for (Vpn v : probes)
+            sum += tlb.lookup(1, v)->pfn;
+        timed += nsSince(t0);
+        l.ops += probes.size();
+    }
+    check(sum != 0 && tlb.misses() == 0, "L1 TLB probe missed");
+    l.ns_per_op = timed / static_cast<double>(l.ops);
+    return l;
+}
+
+/**
+ * L1 TLB miss plus fill: every key is new, so each lookup scans the
+ * whole 64-way set and misses, and the insert evicts the LRU way.
+ * One op is the lookup and the insert.
+ */
+Layer
+tlbL1MissFill(double budget_ns)
+{
+    const TlbParams &p = kTableII.l1_tlb;
+    Tlb tlb(p);
+    Vpn next = 0x40000;
+    for (std::uint32_t i = 0; i < p.entries; ++i)
+        tlb.insert(tlbEntry(1, next++));
+    Layer l{"tlb_l1_miss_fill"};
+    double timed = 0;
+    std::uint64_t hits = 0;
+    while (timed < budget_ns) {
+        const auto t0 = Clock::now();
+        for (int i = 0; i < 4096; ++i) {
+            const Vpn v = next++;
+            hits += tlb.lookup(1, v).has_value();
+            tlb.insert(tlbEntry(1, v));
+        }
+        timed += nsSince(t0);
+        l.ops += 4096;
+    }
+    check(hits == 0 && tlb.evictions() >= l.ops,
+          "L1 TLB fill did not evict");
+    l.ns_per_op = timed / static_cast<double>(l.ops);
+    return l;
+}
+
+/**
+ * L2 TLB lookup (512 entries, 16-way, 32 sets): every set holds 16
+ * resident keys; probes are half resident keys and half absent keys
+ * of the same sets, in a shuffled order. Misses do not fill.
+ */
+Layer
+tlbL2Lookup(double budget_ns)
+{
+    const TlbParams &p = kTableII.l2_tlb;
+    Tlb tlb(p);
+    Rng rng(0x22);
+    for (Vpn v = 0; v < p.entries; ++v)
+        tlb.insert(tlbEntry(1, 0x40000 + v));
+    std::vector<Vpn> probes;
+    for (std::size_t i = 0; i < 4096; ++i)
+        probes.push_back(0x40000 + rng.below(2 * p.entries));
+    Layer l{"tlb_l2_lookup"};
+    double timed = 0;
+    std::uint64_t hits = 0;
+    while (timed < budget_ns) {
+        const auto t0 = Clock::now();
+        for (Vpn v : probes)
+            hits += tlb.lookup(1, v).has_value();
+        timed += nsSince(t0);
+        l.ops += probes.size();
+    }
+    check(hits > l.ops / 3 && hits < 2 * l.ops / 3,
+          "L2 TLB probes are not about half hits");
+    l.ns_per_op = timed / static_cast<double>(l.ops);
+    return l;
+}
+
+/**
+ * Data-cache access at @p p: a random stream over twice the cache's
+ * lines, replayed after one untimed warm pass that fills the cache.
+ */
+Layer
+cacheAccess(const std::string &name, const CacheParams &p,
+            double budget_ns)
+{
+    Cache cache(p);
+    Rng rng(0x33 + p.ways);
+    const std::uint64_t lines = p.size_bytes / p.line_bytes;
+    std::vector<Addr> stream(std::max<std::uint64_t>(4096, 2 * lines));
+    for (Addr &a : stream)
+        a = (0x100000 + rng.below(2 * lines)) * p.line_bytes;
+    for (Addr a : stream)
+        cache.access(a);
+    Layer l{name};
+    double timed = 0;
+    std::uint64_t hits = 0;
+    while (timed < budget_ns) {
+        const auto t0 = Clock::now();
+        for (Addr a : stream)
+            hits += cache.access(a);
+        timed += nsSince(t0);
+        l.ops += stream.size();
+    }
+    check(hits > 0 && hits < l.ops, "cache stream is all hits or misses");
+    l.ns_per_op = timed / static_cast<double>(l.ops);
+    return l;
+}
+
+/** Timed passes per row. */
+constexpr int kPasses = 5;
+
+/**
+ * Time @p row in five passes of budget_ns / 5 each and report the
+ * median pass with the fastest and slowest beside it.
+ */
+template <typename Row>
+Layer
+fivePasses(double budget_ns, Row &&row)
+{
+    std::vector<Layer> passes;
+    for (int i = 0; i < kPasses; ++i)
+        passes.push_back(row(budget_ns / kPasses));
+    std::vector<double> ns;
+    Layer out = passes.front();
+    out.ops = 0;
+    double lossy = 0;
+    for (const Layer &p : passes) {
+        ns.push_back(p.ns_per_op);
+        out.ops += p.ops;
+        lossy += p.lossy_share * static_cast<double>(p.ops);
+    }
+    std::sort(ns.begin(), ns.end());
+    out.ns_per_op = ns[kPasses / 2];
+    out.ns_min = ns.front();
+    out.ns_max = ns.back();
+    if (out.lossy_share >= 0)
+        out.lossy_share = lossy / static_cast<double>(out.ops);
+    return out;
+}
+
 bool
 writeJson(const std::string &path, const std::vector<Layer> &layers)
 {
@@ -345,16 +535,18 @@ writeJson(const std::string &path, const std::vector<Layer> &layers)
         return false;
     std::fprintf(f,
                  "{\n"
-                 "  \"schema_version\": 1,\n"
+                 "  \"schema_version\": 2,\n"
                  "  \"host_cores\": %u,\n"
+                 "  \"passes\": %d,\n"
                  "  \"layers\": [\n",
-                 std::thread::hardware_concurrency());
+                 std::thread::hardware_concurrency(), kPasses);
     for (std::size_t i = 0; i < layers.size(); ++i) {
         const Layer &l = layers[i];
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"ns_per_op\": %.2f, "
+                     "\"ns_min\": %.2f, \"ns_max\": %.2f, "
                      "\"ops\": %llu",
-                     l.name.c_str(), l.ns_per_op,
+                     l.name.c_str(), l.ns_per_op, l.ns_min, l.ns_max,
                      static_cast<unsigned long long>(l.ops));
         if (l.lossy_share >= 0)
             std::fprintf(f, ", \"lossy_share\": %.4f", l.lossy_share);
@@ -382,23 +574,42 @@ main(int argc, char **argv)
     const double budget_ns = smoke ? 2e6 : 2e8;
 
     std::vector<Layer> layers;
-    layers.push_back(insertAtFill(0.5, budget_ns));
-    layers.push_back(insertAtFill(0.95, budget_ns));
-    layers.push_back(insertSaturated(budget_ns));
-    layers.push_back(containsAtFill95(budget_ns));
+    auto add = [&](auto &&row) {
+        layers.push_back(fivePasses(budget_ns, row));
+    };
+    for (double fill : {0.5, 0.95})
+        add([fill](double b) { return insertAtFill(fill, b); });
+    add(insertSaturated);
+    add(containsAtFill95);
     for (std::size_t peers : {2, 4, 16})
-        layers.push_back(commonFreeRun(peers, budget_ns));
+        add([peers](double b) { return commonFreeRun(peers, b); });
     for (bool tagged : {false, true}) {
         const std::string engine = tagged ? "tagged" : "queue";
-        layers.push_back(scheduleFire<SmallChain>(
-            "event_" + engine + "_capture16", tagged, budget_ns));
-        layers.push_back(scheduleFire<NestedChain>(
-            "event_" + engine + "_nested", tagged, budget_ns));
+        add([&](double b) {
+            return scheduleFire<SmallChain>(
+                "event_" + engine + "_capture16", tagged, b);
+        });
+        add([&](double b) {
+            return scheduleFire<NestedChain>(
+                "event_" + engine + "_nested", tagged, b);
+        });
     }
+    add(tlbL1Hit);
+    add(tlbL1MissFill);
+    add(tlbL2Lookup);
+    add([](double b) {
+        return cacheAccess("cache_l1_access", kTableII.l1_cache, b);
+    });
+    add([](double b) {
+        return cacheAccess("cache_l2_access", kTableII.l2_cache, b);
+    });
 
+    std::printf("%-28s %10s %10s %10s\n", "layer (median of 5)", "ns/op",
+                "min", "max");
     for (const Layer &l : layers) {
-        std::printf("%-28s %10.1f ns/op  (%llu ops)", l.name.c_str(),
-                    l.ns_per_op, static_cast<unsigned long long>(l.ops));
+        std::printf("%-28s %10.1f %10.1f %10.1f  (%llu ops)",
+                    l.name.c_str(), l.ns_per_op, l.ns_min, l.ns_max,
+                    static_cast<unsigned long long>(l.ops));
         if (l.lossy_share >= 0)
             std::printf("  lossy %.1f%%", 100 * l.lossy_share);
         std::printf("\n");

@@ -5,16 +5,23 @@
  * Functional hit/miss with LRU replacement; the chiplet memory pipeline
  * charges latencies. Used for per-CU L1 vector caches and the per-chiplet
  * L2 (Table II geometries).
+ *
+ * Lines live in a sim/tag_store.hh TagStore with 32-bit tags: a tag is
+ * the line number without its set index (line / sets), so a 16-way set
+ * of the L2 is one 64-byte row. Every access checks that its line's tag
+ * fits below the empty-way tag, which bounds physical addresses at
+ * (2^32 - 1) * sets * line_bytes (16 TiB for the Table II L1), and
+ * panics rather than truncate.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/types.hh"
 #include "sim/domain_guard.hh"
 #include "sim/stats.hh"
+#include "sim/tag_store.hh"
 
 namespace barre
 {
@@ -52,19 +59,17 @@ class Cache : public DomainOwned
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
+    /** Times the LRU clock reached its limit (see TagStore). */
+    std::uint64_t lruRenumbers() const { return tags_.renumbers(); }
+    /** Test hook: start the LRU clock at @p c (TagStore::advanceClock). */
+    void advanceLruClock(std::uint32_t c) { tags_.advanceClock(c); }
+
   private:
-    struct Way
-    {
-        Addr tag = ~Addr{0};
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
+    using Tags = TagStore<std::uint32_t>;
 
     CacheParams params_;
-    std::uint32_t sets_;
     std::uint32_t line_shift_;
-    std::vector<Way> ways_;
-    std::uint64_t stamp_ = 0;
+    Tags tags_;
     Counter hits_;
     Counter misses_;
 };

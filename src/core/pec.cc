@@ -124,12 +124,16 @@ groupMembers(const PecEntry &entry, Vpn vpn, const CoalInfo &coal)
     return members;
 }
 
-std::vector<Vpn>
-interMembers(const PecEntry &entry, Vpn vpn, const CoalInfo &coal)
+void
+interMembers(const PecEntry &entry, Vpn vpn, const CoalInfo &coal,
+             MemberVpns &out)
 {
-    std::vector<Vpn> members;
+    out.count = 0;
     if (!coal.coalesced())
-        return members;
+        return;
+    barre_assert(entry.num_gpus <= PecEntry::max_gpus,
+                 "PEC entry spans %u chiplets (max %u)", entry.num_gpus,
+                 PecEntry::max_gpus);
     const auto gran = static_cast<std::int64_t>(entry.gran);
     for (std::uint32_t k = 0; k < entry.num_gpus; ++k) {
         if (!(coal.bitmap & (std::uint32_t{1} << k)))
@@ -139,10 +143,17 @@ interMembers(const PecEntry &entry, Vpn vpn, const CoalInfo &coal)
                                  coal.interOrder);
         if (v >= static_cast<std::int64_t>(entry.start_vpn) &&
             v <= static_cast<std::int64_t>(entry.end_vpn)) {
-            members.push_back(static_cast<Vpn>(v));
+            out.vpn[out.count++] = static_cast<Vpn>(v);
         }
     }
-    return members;
+}
+
+std::vector<Vpn>
+interMembers(const PecEntry &entry, Vpn vpn, const CoalInfo &coal)
+{
+    MemberVpns members;
+    interMembers(entry, vpn, coal, members);
+    return {members.begin(), members.end()};
 }
 
 std::optional<PecCalc>

@@ -191,6 +191,25 @@ std::vector<Vpn> interMembers(const PecEntry &entry, Vpn vpn,
                               const CoalInfo &coal);
 
 /**
+ * At most PecEntry::max_gpus VPNs held inline: one group's cross-chiplet
+ * members, small enough for a filter-update message to carry by value.
+ */
+struct MemberVpns
+{
+    std::array<Vpn, PecEntry::max_gpus> vpn{};
+    std::uint32_t count = 0;
+
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    const Vpn *begin() const { return vpn.data(); }
+    const Vpn *end() const { return vpn.data() + count; }
+};
+
+/** interMembers() into @p out, without allocating (the hot-path form). */
+void interMembers(const PecEntry &entry, Vpn vpn, const CoalInfo &coal,
+                  MemberVpns &out);
+
+/**
  * Try to calculate @p pending's PFN from a translated member.
  *
  * @param entry  PEC-buffer entry for the data buffer

@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -24,6 +23,7 @@
 #include "mem/dram.hh"
 #include "mem/memory_map.hh"
 #include "noc/interconnect.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "tlb/mshr.hh"
 #include "tlb/tlb.hh"
@@ -262,7 +262,7 @@ class Chiplet : public SimObject
     std::unique_ptr<Cache> l2_cache_;
     std::unique_ptr<Dram> dram_;
 
-    std::deque<Parked> parked_;
+    RingQueue<Parked> parked_;
 
     Counter sibling_hits_;
     Counter remote_data_;

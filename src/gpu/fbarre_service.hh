@@ -150,11 +150,13 @@ class FBarreService : public SimObject,
     static constexpr std::uint64_t kAuditPeriod = 256;
 
     /**
-     * VPNs that could belong to the same coalescing group as @p vpn per
-     * the buffer layout (probe set; membership is verified against the
-     * found TLB entry's coalescing bits).
+     * Fill @p out with the VPNs that could belong to the same
+     * coalescing group as @p vpn per the buffer layout (probe set;
+     * membership is verified against the found TLB entry's coalescing
+     * bits).
      */
-    std::vector<Vpn> candidateVpns(const PecEntry &entry, Vpn vpn) const;
+    void candidateVpns(const PecEntry &entry, Vpn vpn,
+                       std::vector<Vpn> &out) const;
 
     /**
      * The LCF -> TLB -> calculate sequence on @p chiplet.
@@ -171,7 +173,7 @@ class FBarreService : public SimObject,
      * @p to; applied at delivery.
      */
     void sendFilterUpdates(ChipletId from, ChipletId to, bool add,
-                           ProcessId pid, std::vector<Vpn> vpns);
+                           ProcessId pid, const pec::MemberVpns &vpns);
 
     FBarreParams params_;
     bool shared_bypass_ = false;
@@ -182,6 +184,8 @@ class FBarreService : public SimObject,
     std::vector<std::unique_ptr<FilterEngine>> engines_;
     std::vector<std::unique_ptr<PecBuffer>> pec_buffers_;
     std::vector<Tlb *> l2_tlbs_;
+    /** Per-chiplet candidateVpns() buffer, reused by tryCalcAt(). */
+    std::vector<std::vector<Vpn>> cand_bufs_;
 
     // One service instance is bumped from every chiplet's sequencing
     // context, so these shard per tag in partitioned mode (TagCounter

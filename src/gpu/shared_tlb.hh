@@ -28,13 +28,13 @@
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "gpu/translation_service.hh"
 #include "noc/link.hh"
 #include "sim/domain_guard.hh"
+#include "sim/ring_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "tlb/mshr.hh"
@@ -146,7 +146,7 @@ class SharedTlbService : public SimObject, public DomainOwned
     std::vector<std::unique_ptr<Link>> req_links_;
     /** Response wires, host-owned, deliver at the target chiplet. */
     std::vector<std::unique_ptr<Link>> resp_links_;
-    std::deque<Parked> parked_;
+    RingQueue<Parked> parked_;
     std::vector<Counter> misses_;
     std::vector<Counter> retries_;
 };

@@ -23,6 +23,18 @@ to_string(TranslationMode m)
     barre_panic("unknown mode");
 }
 
+void
+requireSupportedChiplets(unsigned chiplets, const char *what)
+{
+    if (chiplets < 1 || chiplets > PecEntry::max_gpus)
+        barre_fatal("%s: %u is outside 1..%u. A PEC entry maps at most "
+                    "PecEntry::max_gpus = %u chiplets, and the PTE's "
+                    "11-bit coalescing budget (ignored bits 52..62) has "
+                    "no inter-GPU order past 15",
+                    what, chiplets, PecEntry::max_gpus,
+                    PecEntry::max_gpus);
+}
+
 SystemConfigHandle
 freezeConfig(SystemConfig cfg)
 {

@@ -143,5 +143,13 @@ using SystemConfigHandle = std::shared_ptr<const SystemConfig>;
 /** Normalize @p cfg and freeze it into an immutable shared handle. */
 SystemConfigHandle freezeConfig(SystemConfig cfg);
 
+/**
+ * Fatal unless @p chiplets is in 1..PecEntry::max_gpus, naming
+ * @p what (the flag or field that set it). The bound is the model's: a
+ * PEC entry maps at most 16 order positions, and the PTE's 11 ignored
+ * bits have no encoding for a coalescing order past 15.
+ */
+void requireSupportedChiplets(unsigned chiplets, const char *what);
+
 } // namespace barre
 

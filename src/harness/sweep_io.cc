@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "core/pec.hh"
+#include "harness/config.hh"
 #include "sim/logging.hh"
 
 namespace barre
@@ -65,12 +66,7 @@ unsigned
 parseChipletsArg(const std::string &s)
 {
     unsigned n = parseUnsignedArg(s, "--chiplets");
-    if (n < 1 || n > PecEntry::max_gpus)
-        barre_fatal("--chiplets: %u is outside 1..%u. A PEC entry maps "
-                    "at most PecEntry::max_gpus = %u chiplets, and the "
-                    "PTE's 11-bit coalescing budget (ignored bits "
-                    "52..62) has no inter-GPU order past 15",
-                    n, PecEntry::max_gpus, PecEntry::max_gpus);
+    requireSupportedChiplets(n, "--chiplets");
     return n;
 }
 

@@ -27,6 +27,9 @@ System::System(SystemConfigHandle cfg)
     : cfg_handle_(std::move(cfg)), cfg_(*cfg_handle_),
       eq_(cfg_.heap_only_queue ? QueueMode::heap_only : QueueMode::ladder)
 {
+    // Before anything is built: past 16 chiplets the driver's mapping
+    // policy would die on an assertion mid-construction.
+    requireSupportedChiplets(cfg_.chiplets, "SystemConfig::chiplets");
     std::uint64_t frames =
         cfg_.mem_bytes_per_chiplet >> pageShift(cfg_.page_size);
     map_ = std::make_unique<MemoryMap>(cfg_.chiplets, frames);

@@ -6,6 +6,11 @@
  * to a key already in flight merge onto that entry; a full MSHR file
  * rejects new keys, which the requester must retry (modeling the
  * back-pressure examined in paper Fig 4).
+ *
+ * Each entry's waiters form a FIFO chain through one pooled array of
+ * waiter nodes with a free list, so once the pool has grown to the
+ * peak number of outstanding waiters, allocate/merge/complete cycles
+ * make no heap allocation.
  */
 
 #pragma once
@@ -22,6 +27,20 @@
 
 namespace barre
 {
+
+namespace mshr_detail
+{
+
+inline constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+/** One MSHR entry's waiters: first and last node of its chain. */
+struct Chain
+{
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+};
+
+} // namespace mshr_detail
 
 /**
  * @tparam Result value delivered to waiting requesters on completion.
@@ -58,8 +77,8 @@ class Mshr : public DomainOwned
     allocate(Key key, Callback cb)
     {
         domainCheck("allocate");
-        if (std::vector<Callback> *waiters = entries_.find(key)) {
-            waiters->push_back(std::move(cb));
+        if (Chain *chain = entries_.find(key)) {
+            append(*chain, std::move(cb));
             ++secondary_;
             return Outcome::secondary;
         }
@@ -67,7 +86,7 @@ class Mshr : public DomainOwned
             ++rejected_;
             return Outcome::rejected;
         }
-        entries_[key].push_back(std::move(cb));
+        append(entries_[key], std::move(cb));
         ++primary_;
         return Outcome::primary;
     }
@@ -80,12 +99,21 @@ class Mshr : public DomainOwned
     complete(Key key, const Result &result)
     {
         domainCheck("complete");
-        barre_assert(entries_.contains(key),
-                     "completing unknown MSHR entry");
+        const Chain *chain = entries_.find(key);
+        barre_assert(chain != nullptr, "completing unknown MSHR entry");
         // Detach first: callbacks may allocate the same key again.
-        std::vector<Callback> waiters = entries_.take(key);
-        for (auto &cb : waiters)
+        std::uint32_t at = chain->head;
+        entries_.erase(key);
+        while (at != kNone) {
+            // Free the node before the call: a callback that allocates
+            // may reuse it, or grow the pool and move every node.
+            Callback cb = std::move(waiters_[at].cb);
+            const std::uint32_t next = waiters_[at].next;
+            waiters_[at].next = free_;
+            free_ = at;
+            at = next;
             cb(result);
+        }
     }
 
     bool inFlight(Key key) const { return entries_.contains(key); }
@@ -98,8 +126,39 @@ class Mshr : public DomainOwned
     std::uint64_t rejections() const { return rejected_.value(); }
 
   private:
+    using Chain = mshr_detail::Chain;
+    static constexpr std::uint32_t kNone = mshr_detail::kNone;
+
+    struct Waiter
+    {
+        Callback cb;
+        std::uint32_t next = kNone; ///< chain successor, or free list
+    };
+
+    /** Queue @p cb at the end of @p chain, reusing a free node. */
+    void
+    append(Chain &chain, Callback &&cb)
+    {
+        std::uint32_t at = free_;
+        if (at != kNone) {
+            free_ = waiters_[at].next;
+            waiters_[at].cb = std::move(cb);
+        } else {
+            at = static_cast<std::uint32_t>(waiters_.size());
+            waiters_.push_back(Waiter{std::move(cb)});
+        }
+        waiters_[at].next = kNone;
+        if (chain.tail == kNone)
+            chain.head = at;
+        else
+            waiters_[chain.tail].next = at;
+        chain.tail = at;
+    }
+
     std::uint32_t capacity_;
-    FlatMap<Key, std::vector<Callback>> entries_;
+    FlatMap<Key, Chain> entries_;
+    std::vector<Waiter> waiters_; ///< node pool, grows to the peak
+    std::uint32_t free_ = kNone;  ///< free-list head in waiters_
     Counter primary_;
     Counter secondary_;
     Counter rejected_;

@@ -5,7 +5,12 @@
 namespace barre
 {
 
-Tlb::Tlb(const TlbParams &p) : params_(p)
+namespace
+{
+
+/** Sets of a checked TLB geometry. */
+std::uint32_t
+setsOf(const TlbParams &p)
 {
     barre_assert(p.entries > 0 && p.ways > 0, "degenerate TLB geometry");
     barre_assert(p.entries % p.ways == 0,
@@ -16,9 +21,15 @@ Tlb::Tlb(const TlbParams &p) : params_(p)
                       p.ways % p.asid_partitions == 0),
                  "asid_partitions (%u) must divide ways (%u)",
                  p.asid_partitions, p.ways);
-    sets_ = p.entries / p.ways;
-    ways_.resize(p.entries);
+    return p.entries / p.ways;
 }
+
+} // namespace
+
+Tlb::Tlb(const TlbParams &p)
+    : params_(p), tags_(setsOf(p), p.ways), pids_(p.entries, 0),
+      payload_(p.entries)
+{}
 
 void
 Tlb::occInsert(ProcessId pid)
@@ -32,54 +43,35 @@ Tlb::occInsert(ProcessId pid)
 void
 Tlb::occRemove(ProcessId pid)
 {
-    auto it = asid_occ_.find(pid);
-    barre_assert(it != asid_occ_.end() && it->second.current > 0,
+    AsidOcc *occ = asid_occ_.find(pid);
+    barre_assert(occ != nullptr && occ->current > 0,
                  "ASID occupancy underflow for process %u", pid);
-    --it->second.current;
+    --occ->current;
 }
 
 std::uint64_t
 Tlb::occupancy(ProcessId pid) const
 {
-    auto it = asid_occ_.find(pid);
-    return it != asid_occ_.end() ? it->second.current : 0;
+    const AsidOcc *occ = asid_occ_.find(pid);
+    return occ ? occ->current : 0;
 }
 
 std::uint64_t
 Tlb::peakOccupancy(ProcessId pid) const
 {
-    auto it = asid_occ_.find(pid);
-    return it != asid_occ_.end() ? it->second.peak : 0;
-}
-
-Tlb::Way *
-Tlb::findWay(ProcessId pid, Vpn vpn)
-{
-    std::uint32_t set = setOf(vpn);
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Way &way = ways_[std::size_t{set} * params_.ways + w];
-        if (way.entry.valid && way.entry.vpn == vpn &&
-            way.entry.pid == pid) {
-            return &way;
-        }
-    }
-    return nullptr;
-}
-
-const Tlb::Way *
-Tlb::findWay(ProcessId pid, Vpn vpn) const
-{
-    return const_cast<Tlb *>(this)->findWay(pid, vpn);
+    const AsidOcc *occ = asid_occ_.find(pid);
+    return occ ? occ->peak : 0;
 }
 
 std::optional<TlbEntry>
 Tlb::lookup(ProcessId pid, Vpn vpn)
 {
     domainCheck("lookup");
-    if (Way *way = findWay(pid, vpn)) {
-        way->lru = ++stamp_;
+    const std::size_t slot = find(pid, vpn);
+    if (slot != TagStore<Vpn>::npos) {
+        tags_.touch(slot);
         ++hits_;
-        return way->entry;
+        return entryAt(slot);
     }
     ++misses_;
     return std::nullopt;
@@ -91,8 +83,9 @@ Tlb::peek(ProcessId pid, Vpn vpn) const
     // peek mutates nothing, but a cross-domain peek still reads state
     // another domain mutates mid-epoch — equally partition-unsafe.
     domainCheck("peek");
-    if (const Way *way = findWay(pid, vpn))
-        return way->entry;
+    const std::size_t slot = find(pid, vpn);
+    if (slot != TagStore<Vpn>::npos)
+        return entryAt(slot);
     return std::nullopt;
 }
 
@@ -101,9 +94,12 @@ Tlb::insert(const TlbEntry &entry)
 {
     domainCheck("insert");
     barre_assert(entry.valid, "inserting an invalid entry");
-    if (Way *way = findWay(entry.pid, entry.vpn)) {
-        way->entry = entry;
-        way->lru = ++stamp_;
+    barre_assert(entry.vpn != invalid_vpn,
+                 "inserting invalid_vpn, the tag of an empty way");
+    std::size_t slot = find(entry.pid, entry.vpn);
+    if (slot != TagStore<Vpn>::npos) {
+        payload_[slot] = Payload{entry.pfn, entry.coal};
+        tags_.touch(slot);
         return;
     }
 
@@ -118,63 +114,47 @@ Tlb::insert(const TlbEntry &entry)
         w_hi = w_lo + per;
     }
 
-    std::uint32_t set = setOf(entry.vpn);
-    Way *victim = nullptr;
-    for (std::uint32_t w = w_lo; w < w_hi; ++w) {
-        Way &way = ways_[std::size_t{set} * params_.ways + w];
-        if (!way.entry.valid) {
-            victim = &way;
-            break;
-        }
-        if (!victim || way.lru < victim->lru)
-            victim = &way;
-    }
-
-    if (victim->entry.valid) {
+    slot = tags_.victim(tags_.setOf(entry.vpn), w_lo, w_hi);
+    if (tags_.valid(slot)) {
         ++evictions_;
         --valid_count_;
-        occRemove(victim->entry.pid);
+        occRemove(pids_[slot]);
+        // The victim is still installed while the listener runs.
         if (on_evict_)
-            on_evict_(victim->entry);
+            on_evict_(entryAt(slot));
     }
-    victim->entry = entry;
-    victim->lru = ++stamp_;
+    tags_.fill(slot, entry.vpn);
+    pids_[slot] = entry.pid;
+    payload_[slot] = Payload{entry.pfn, entry.coal};
     ++valid_count_;
     occInsert(entry.pid);
     if (on_insert_)
-        on_insert_(victim->entry);
+        on_insert_(entryAt(slot));
 }
 
 bool
 Tlb::invalidate(ProcessId pid, Vpn vpn)
 {
     domainCheck("invalidate");
-    if (Way *way = findWay(pid, vpn)) {
-        TlbEntry gone = way->entry;
-        way->entry = TlbEntry{};
-        --valid_count_;
-        occRemove(gone.pid);
-        if (on_evict_)
-            on_evict_(gone);
-        return true;
-    }
-    return false;
+    const std::size_t slot = find(pid, vpn);
+    if (slot == TagStore<Vpn>::npos)
+        return false;
+    const TlbEntry gone = entryAt(slot);
+    tags_.clear(slot);
+    --valid_count_;
+    occRemove(gone.pid);
+    if (on_evict_)
+        on_evict_(gone);
+    return true;
 }
 
 void
 Tlb::shootdown()
 {
     domainCheck("shootdown");
-    for (Way &way : ways_) {
-        if (way.entry.valid) {
-            way.entry = TlbEntry{};
-            --valid_count_;
-        }
-        way.lru = 0;
-    }
-    for (auto &[pid, occ] : asid_occ_)
-        occ.current = 0;
-    barre_assert(valid_count_ == 0, "shootdown accounting broke");
+    tags_.clearAll();
+    valid_count_ = 0;
+    asid_occ_.forEach([](ProcessId, AsidOcc &occ) { occ.current = 0; });
 }
 
 std::uint64_t
@@ -182,26 +162,24 @@ Tlb::invalidateAsid(ProcessId pid)
 {
     domainCheck("invalidateAsid");
     std::uint64_t removed = 0;
-    for (Way &way : ways_) {
-        if (way.entry.valid && way.entry.pid == pid) {
-            TlbEntry gone = way.entry;
-            way.entry = TlbEntry{};
-            way.lru = 0;
+    for (std::size_t slot = 0; slot < tags_.slots(); ++slot) {
+        if (tags_.valid(slot) && pids_[slot] == pid) {
+            const TlbEntry gone = entryAt(slot);
+            tags_.clear(slot);
             --valid_count_;
             ++removed;
             if (on_evict_)
                 on_evict_(gone);
         }
     }
-    auto it = asid_occ_.find(pid);
-    if (it != asid_occ_.end()) {
-        barre_assert(it->second.current == removed,
+    AsidOcc *occ = asid_occ_.find(pid);
+    if (occ) {
+        barre_assert(occ->current == removed,
                      "ASID %u occupancy (%llu) disagrees with its live "
                      "entries (%llu)",
-                     pid,
-                     static_cast<unsigned long long>(it->second.current),
+                     pid, static_cast<unsigned long long>(occ->current),
                      static_cast<unsigned long long>(removed));
-        it->second.current = 0;
+        occ->current = 0;
     } else {
         barre_assert(removed == 0,
                      "untracked ASID %u had live entries", pid);

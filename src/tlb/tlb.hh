@@ -8,6 +8,11 @@
  * and carry the PFN plus - under Barre Chord - the coalescing-group
  * information the IOMMU attached to the ATS response (paper §V-A3).
  *
+ * The VPN keys and LRU state live in a sim/tag_store.hh TagStore; the
+ * PIDs sit in a parallel per-slot array that a lookup reads only where
+ * the VPN matched, and the PFN and coalescing bits in another that only
+ * a hit reads.
+ *
  * An eviction listener lets F-Barre mirror insert/evict into its
  * coalescing-group filters.
  */
@@ -15,15 +20,16 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "mem/pte.hh"
 #include "mem/types.hh"
 #include "sim/domain_guard.hh"
+#include "sim/flat_map.hh"
 #include "sim/inline_fn.hh"
 #include "sim/stats.hh"
+#include "sim/tag_store.hh"
 
 namespace barre
 {
@@ -80,7 +86,8 @@ class Tlb : public DomainOwned
 
     /**
      * Install a translation, evicting the LRU way if the set is full.
-     * Re-inserting an existing (pid, vpn) updates it in place.
+     * Re-inserting an existing (pid, vpn) updates it in place. The VPN
+     * must not be invalid_vpn (the tag of an empty way).
      */
     void insert(const TlbEntry &entry);
 
@@ -105,9 +112,9 @@ class Tlb : public DomainOwned
     void
     forEachValid(Fn &&fn) const
     {
-        for (const Way &way : ways_)
-            if (way.entry.valid)
-                fn(way.entry);
+        for (std::size_t slot = 0; slot < tags_.slots(); ++slot)
+            if (tags_.valid(slot))
+                fn(entryAt(slot));
     }
 
     const TlbParams &params() const { return params_; }
@@ -127,31 +134,50 @@ class Tlb : public DomainOwned
         return std::uint64_t{params_.entries} * bits_per_entry;
     }
 
+    /** Times the LRU clock reached its limit (see TagStore). */
+    std::uint64_t lruRenumbers() const { return tags_.renumbers(); }
+    /** Test hook: start the LRU clock at @p c (TagStore::advanceClock). */
+    void advanceLruClock(std::uint32_t c) { tags_.advanceClock(c); }
+
   private:
-    struct Way
+    /** What a hit returns beyond the key. */
+    struct Payload
     {
-        TlbEntry entry{};
-        std::uint64_t lru = 0; ///< last-touch stamp; smaller = older
+        Pfn pfn = invalid_pfn;
+        CoalInfo coal{};
     };
 
+    /** FlatMap value-initialises new entries, so both start at 0. */
     struct AsidOcc
     {
-        std::uint64_t current = 0;
-        std::uint64_t peak = 0;
+        std::uint64_t current;
+        std::uint64_t peak;
     };
 
-    std::uint32_t setOf(Vpn vpn) const { return vpn % sets_; }
-    Way *findWay(ProcessId pid, Vpn vpn);
-    const Way *findWay(ProcessId pid, Vpn vpn) const;
+    std::size_t
+    find(ProcessId pid, Vpn vpn) const
+    {
+        return tags_.find(tags_.setOf(vpn), vpn, [&](std::size_t slot) {
+            return pids_[slot] == pid;
+        });
+    }
+
+    TlbEntry
+    entryAt(std::size_t slot) const
+    {
+        return TlbEntry{pids_[slot], tags_.tag(slot), payload_[slot].pfn,
+                        payload_[slot].coal, true};
+    }
+
     void occInsert(ProcessId pid);
     void occRemove(ProcessId pid);
 
     TlbParams params_;
-    std::uint32_t sets_;
-    std::vector<Way> ways_; ///< sets_ x params_.ways, row-major
-    std::uint64_t stamp_ = 0;
+    TagStore<Vpn> tags_;            ///< VPN keys + LRU, set-major
+    std::vector<ProcessId> pids_;   ///< per slot, the key's second half
+    std::vector<Payload> payload_;  ///< per slot, read on a hit
     std::uint64_t valid_count_ = 0;
-    std::map<ProcessId, AsidOcc> asid_occ_; ///< per-tenant accounting
+    FlatMap<ProcessId, AsidOcc> asid_occ_; ///< per-tenant accounting
 
     Counter hits_;
     Counter misses_;

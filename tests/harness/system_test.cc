@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/experiment.hh"
 
 using namespace barre;
@@ -165,4 +168,22 @@ TEST(SystemIntegration, RunIsOneShot)
     sys.loadScenario(ScenarioSpec::solo("fft"));
     sys.run();
     EXPECT_THROW(sys.run(), std::logic_error);
+}
+
+TEST(SystemIntegration, RejectsMoreChipletsThanThePteCanEncode)
+{
+    SystemConfig cfg = SystemConfig::fbarreCfg();
+    cfg.chiplets = 17;
+    try {
+        System sys(cfg);
+        FAIL() << "a 17-chiplet System was built";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("SystemConfig::chiplets: 17 is outside 1..16"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("PecEntry::max_gpus"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("11-bit"), std::string::npos) << what;
+    }
 }

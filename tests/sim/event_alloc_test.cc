@@ -11,54 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "operator_new_counter.hh"
 #include "sim/cell_pool.hh"
 #include "sim/event_queue.hh"
 
-namespace
-{
-
-std::atomic<std::uint64_t> g_news{0};
-
-/**
- * Out of line so GCC does not pair an inlined operator new with free()
- * and report a mismatch (-Wmismatched-new-delete): both replacements
- * below sit on malloc/free.
- */
-[[gnu::noinline]] void
-freeBlock(void *p) noexcept
-{
-    std::free(p);
-}
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    freeBlock(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    freeBlock(p);
-}
-
+using alloc_count::newsDuring;
 using namespace barre;
 
 namespace
@@ -116,15 +76,6 @@ minRounds(const std::vector<Chain> &chains)
     for (const Chain &c : chains)
         r = std::min(r, c.rounds);
     return r;
-}
-
-/** operator new calls made by @p fn. */
-std::uint64_t
-newsDuring(const auto &fn)
-{
-    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-    fn();
-    return g_news.load(std::memory_order_relaxed) - before;
 }
 
 constexpr std::size_t kChains = 32;

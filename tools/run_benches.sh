@@ -6,7 +6,7 @@
 # tools/perf_diff refuses to compare files whose schema_version
 # differs) and appends one line to the checked-in perf history
 # bench/trajectory.jsonl: commit, host_cores, build type and each
-# family's headline numbers.
+# family's headline numbers (per-layer rows with their pass spread).
 #
 #   tools/run_benches.sh                 # all cores
 #   BARRE_JOBS=8 tools/run_benches.sh    # fixed worker count
@@ -85,6 +85,13 @@ line = {
                             if wall > 0 else 0,
         },
         "layers": {l["name"]: l["ns_per_op"] for l in layers["layers"]},
+        # Each layers row is the median of `passes` timed passes; the
+        # fastest and slowest pass bound the noise of this one run.
+        "layers_spread": {
+            "passes": layers["passes"],
+            "min_max": {l["name"]: [l["ns_min"], l["ns_max"]]
+                        for l in layers["layers"]},
+        },
     },
 }
 print(json.dumps(line, sort_keys=True))
