@@ -105,17 +105,6 @@ struct SystemConfig
      */
     std::uint32_t sim_threads = 0;
 
-    /**
-     * Scheduler for partitioned runs. true (default): asynchronous
-     * per-channel conservative scheduling — each domain advances to
-     * min over incoming channels of (sender clock + channel
-     * lookahead), so NoC-coupled domains never wait for PCIe-grained
-     * synchronization. false: the lock-step epoch scheduler bounded by
-     * the global minimum lookahead, kept as a differential-testing
-     * reference. Both fire events in bitwise-identical order.
-     */
-    bool sim_async = true;
-
     bool operator==(const SystemConfig &) const = default;
 
     /// @name Named configurations used throughout the evaluation

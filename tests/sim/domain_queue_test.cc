@@ -247,28 +247,6 @@ TEST(DomainQueueAudit, CrossDomainEventInsideHorizonFires)
     eng->setRunning(false);
 }
 
-TEST(DomainQueueAudit, AsyncCrossEventBeatingChannelLookaheadFires)
-{
-    if (!invariants_enabled)
-        GTEST_SKIP() << "channel audit needs BARRE_CHECK_INVARIANTS";
-    EventQueue eq(QueueMode::ladder);
-    eq.enableTags({0, 1}, 2);
-    TaggedEngine *eng = eq.taggedEngine();
-    eng->setChannelLookahead(0, 1, 20);
-    eng->setChannelLookahead(1, 0, 20);
-    eng->setAsync(true);
-    eng->setRunning(true);
-    EventQueue::TagScope scope(eq, kHostTag);
-    // The sender's clock is 0 and the 0->1 channel promises nothing
-    // arrives before clock + 20: a tick-19 delivery would beat the
-    // channel's conservative bound, so the audit must refuse it.
-    EXPECT_THROW(eq.scheduleCross(1, 19, []() {}), std::logic_error);
-    // Exactly at the bound is legal.
-    eq.scheduleCross(1, 20, []() {});
-    eng->setRunning(false);
-    eng->setAsync(false);
-}
-
 TEST(DomainQueueAudit, TaggedScheduleOutsideAnyContextFires)
 {
     EventQueue eq(QueueMode::ladder);

@@ -153,7 +153,6 @@ TEST(EventCell, TaggedPanicAndStagedSendsLeakNoCell)
         EventQueue eq;
         eq.enableTags({0, 1}, 2);
         TaggedEngine &eng = *eq.taggedEngine();
-        eng.defaultLookahead(40);
         const BigCapture cap = BigCapture::pattern(9);
         {
             EventQueue::TagScope scope(eq, kHostTag);

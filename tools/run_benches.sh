@@ -76,8 +76,7 @@ line = {
                         if k.endswith(("_eps", "_speedup"))},
         "pdes": {f"{c['name']}.{k}": c[k] for c in pdes["configs"]
                  for k in ("legacy_events_per_s",
-                           "tagged_serial_events_per_s",
-                           "async_vs_epoch")},
+                           "tagged_serial_events_per_s")},
         "tenants": {
             "wall_s": round(wall, 6),
             "events_per_s": round(sum(c["sim_events"]
