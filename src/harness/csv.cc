@@ -2,23 +2,72 @@
 
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "sim/logging.hh"
 
 namespace barre
 {
 
+namespace
+{
+
+using M = RunMetrics;
+
+/** One CSV column: its header name and the RunMetrics member it prints. */
+struct Column
+{
+    const char *name;
+    std::variant<std::string M::*, std::uint64_t M::*, double M::*> field;
+};
+
+/** The CSV columns in order; csvHeader() and csvRow() both walk it. */
+const Column kColumns[] = {
+    {"config", &M::config},
+    {"app", &M::app},
+    {"runtime", &M::runtime},
+    {"accesses", &M::accesses},
+    {"instructions", &M::instructions},
+    {"l2_tlb_hits", &M::l2_tlb_hits},
+    {"l2_tlb_misses", &M::l2_tlb_misses},
+    {"l2_mpki", &M::l2_mpki},
+    {"mshr_retries", &M::mshr_retries},
+    {"ats_packets", &M::ats_packets},
+    {"walks", &M::walks},
+    {"iommu_coalesced", &M::iommu_coalesced},
+    {"iommu_tlb_hits", &M::iommu_tlb_hits},
+    {"avg_ats_time", &M::avg_ats_time},
+    {"local_calc_hits", &M::local_calc_hits},
+    {"remote_probes", &M::remote_probes},
+    {"remote_hits", &M::remote_hits},
+    {"fbarre_fallbacks", &M::fbarre_fallbacks},
+    {"filter_updates", &M::filter_updates},
+    {"local_data", &M::local_data},
+    {"remote_data", &M::remote_data},
+    {"noc_bytes", &M::noc_bytes},
+    {"pcie_up_bytes", &M::pcie_up_bytes},
+    {"pcie_down_bytes", &M::pcie_down_bytes},
+    {"gmmu_local_walks", &M::gmmu_local_walks},
+    {"gmmu_remote_walks", &M::gmmu_remote_walks},
+    {"gmmu_coalesced", &M::gmmu_coalesced},
+    {"coalesced_pages", &M::coalesced_pages},
+    {"mapped_pages", &M::mapped_pages},
+    {"migrations", &M::migrations},
+};
+
+} // namespace
+
 std::string
 csvHeader()
 {
-    return "config,app,runtime,accesses,instructions,l2_tlb_hits,"
-           "l2_tlb_misses,l2_mpki,mshr_retries,ats_packets,walks,"
-           "iommu_coalesced,iommu_tlb_hits,avg_ats_time,"
-           "local_calc_hits,remote_probes,remote_hits,"
-           "fbarre_fallbacks,filter_updates,local_data,remote_data,"
-           "noc_bytes,pcie_up_bytes,pcie_down_bytes,gmmu_local_walks,"
-           "gmmu_remote_walks,gmmu_coalesced,coalesced_pages,"
-           "mapped_pages,migrations";
+    std::string out;
+    for (const Column &c : kColumns) {
+        if (&c != kColumns)
+            out += ',';
+        out += c.name;
+    }
+    return out;
 }
 
 std::string
@@ -108,20 +157,19 @@ std::string
 csvRow(const RunMetrics &m)
 {
     std::ostringstream os;
-    os << csvQuote(m.config) << ',' << csvQuote(m.app) << ','
-       << m.runtime << ','
-       << m.accesses << ',' << m.instructions << ',' << m.l2_tlb_hits
-       << ',' << m.l2_tlb_misses << ',' << m.l2_mpki << ','
-       << m.mshr_retries << ',' << m.ats_packets << ',' << m.walks
-       << ',' << m.iommu_coalesced << ',' << m.iommu_tlb_hits << ','
-       << m.avg_ats_time << ',' << m.local_calc_hits << ','
-       << m.remote_probes << ',' << m.remote_hits << ','
-       << m.fbarre_fallbacks << ',' << m.filter_updates << ','
-       << m.local_data << ',' << m.remote_data << ',' << m.noc_bytes
-       << ',' << m.pcie_up_bytes << ',' << m.pcie_down_bytes << ','
-       << m.gmmu_local_walks << ',' << m.gmmu_remote_walks << ','
-       << m.gmmu_coalesced << ',' << m.coalesced_pages << ','
-       << m.mapped_pages << ',' << m.migrations;
+    for (const Column &c : kColumns) {
+        if (&c != kColumns)
+            os << ',';
+        std::visit(
+            [&](auto field) {
+                if constexpr (std::is_same_v<decltype(field),
+                                             std::string M::*>)
+                    os << csvQuote(m.*field);
+                else
+                    os << m.*field;
+            },
+            c.field);
+    }
     return os.str();
 }
 

@@ -6,8 +6,8 @@
  * runMany() is the sweep workhorse: it fans independent simulations out
  * across host cores (work-stealing pool, $BARRE_JOBS workers) while
  * keeping results bitwise identical to the serial loop — every
- * simulation owns its EventQueue/Rng/StatRegistry, and results are
- * collected by index, never by completion order.
+ * simulation owns its EventQueue, Rng and component counters, and
+ * results are collected by index, never by completion order.
  */
 
 #pragma once

@@ -59,6 +59,8 @@ struct RunMetrics
 
     /// @name TLB / translation
     /// @{
+    /** Never harvested, so always 0. Kept because simbench's digest()
+     *  reads it: filling or removing it changes sim_digest. */
     std::uint64_t l1_tlb_hits = 0;
     std::uint64_t l2_tlb_hits = 0;
     std::uint64_t l2_tlb_misses = 0;

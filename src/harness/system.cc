@@ -539,72 +539,134 @@ System::auditNoStaleAsid() const
     }
 }
 
+namespace
+{
+
+/**
+ * One entry of System::visitStats. The dump prints it as
+ * `[gpu<chiplet>.]section.leaf value`; the harvest adds the value into
+ * RunMetrics::*field. A null leaf keeps the entry out of the dump, a
+ * null field keeps it out of RunMetrics.
+ */
+template <class T>
+struct Stat
+{
+    int chiplet; ///< -1 for a system-wide statistic
+    const char *section;
+    const char *leaf;
+    T value;
+    T RunMetrics::*field;
+};
+
+} // namespace
+
+template <class F>
+void
+System::visitStats(F &&f) const
+{
+    using M = RunMetrics;
+    using U = std::uint64_t;
+    // count() lists a counter, mean() an Accumulator's mean.
+    auto count = [&f](const char *section, const char *leaf, U value,
+                      U M::*field = nullptr) {
+        f(Stat<U>{-1, section, leaf, value, field});
+    };
+    auto mean = [&f](const char *section, const char *leaf, double value,
+                     double M::*field = nullptr) {
+        f(Stat<double>{-1, section, leaf, value, field});
+    };
+
+    count("sim", "ticks", eq_.now());
+    for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
+        const Chiplet &chip = *chiplets_[c];
+        auto gpu = [&f, c](const char *section, const char *leaf, U value,
+                           U M::*field = nullptr) {
+            f(Stat<U>{static_cast<int>(c), section, leaf, value, field});
+        };
+        gpu("l2tlb", "accesses", chip.l2TlbAccesses());
+        gpu("l2tlb", "misses", chip.l2TlbMisses(), &M::l2_tlb_misses);
+        gpu("l2tlb", "mshr_retries", chip.mshrRetries(), &M::mshr_retries);
+        gpu("data", "local", chip.localDataAccesses(), &M::local_data);
+        gpu("data", "remote", chip.remoteDataAccesses(), &M::remote_data);
+        gpu("l1tlb", "sibling_hits", chip.siblingProbeHits());
+        gpu("l2tlb", nullptr, chip.l2TlbHits(), &M::l2_tlb_hits);
+    }
+    count("iommu", "ats_requests", iommu_->atsRequests(), &M::ats_packets);
+    count("iommu", "walks", iommu_->walks(), &M::walks);
+    count("iommu", "pec_calculated", iommu_->coalescedTranslations(),
+          &M::iommu_coalesced);
+    count("iommu", "tlb_hits", iommu_->iommuTlbHits(), &M::iommu_tlb_hits);
+    count("iommu", "page_faults", iommu_->pageFaults());
+    count("iommu", "sched_deferrals", iommu_->schedulerDeferrals());
+    mean("iommu", "avg_processing_cycles", iommu_->processingTime().mean(),
+         &M::avg_ats_time);
+    mean("iommu", nullptr, iommu_->queueDepth().mean(),
+         &M::avg_pw_queue_depth);
+    if (fbarre_) {
+        count("fbarre", "local_calc_hits", fbarre_->localCalcHits(),
+              &M::local_calc_hits);
+        count("fbarre", "remote_probes", fbarre_->remoteProbes(),
+              &M::remote_probes);
+        count("fbarre", "remote_hits", fbarre_->remoteHits(),
+              &M::remote_hits);
+        count("fbarre", "fallbacks", fbarre_->fallbacks(),
+              &M::fbarre_fallbacks);
+        count("fbarre", "filter_updates", fbarre_->filterUpdates(),
+              &M::filter_updates);
+        count("fbarre", nullptr, fbarre_->lcfPositives(),
+              &M::lcf_positives);
+        count("fbarre", nullptr, fbarre_->lcfTruePositives(),
+              &M::lcf_true_positives);
+    }
+    if (gmmu_) {
+        count("gmmu", "local_walks", gmmu_->localWalks(),
+              &M::gmmu_local_walks);
+        count("gmmu", "remote_walks", gmmu_->remoteWalks(),
+              &M::gmmu_remote_walks);
+        count("gmmu", "pec_calculated", gmmu_->coalescedTranslations(),
+              &M::gmmu_coalesced);
+    }
+    count("noc", "bytes", noc_->totalBytes(), &M::noc_bytes);
+    count("noc", "messages", noc_->totalMessages());
+    count("pcie", "up_bytes", pcie_->upstream().bytesSent(),
+          &M::pcie_up_bytes);
+    count("pcie", "down_bytes", pcie_->downstream().bytesSent(),
+          &M::pcie_down_bytes);
+    if (engine_) {
+        count("scenario", "launches", engine_->launches());
+        count("scenario", "retires", engine_->retires());
+    }
+    count("driver", "mapped_pages", driver_->totalMappedPages(),
+          &M::mapped_pages);
+    count("driver", "process_exits", driver_->processExits());
+    count("driver", "coalesced_pages", driver_->coalescedPages(),
+          &M::coalesced_pages);
+    count("driver", "merged_pages", driver_->mergedGroupPages());
+    count("driver", "fallback_pages", driver_->fallbackPages());
+    count("driver", "demand_faults", driver_->demandFaults());
+    if (migrator_) {
+        count("migration", "count", migrator_->migrations(),
+              &M::migrations);
+        count("migration", "bytes", migrator_->migratedBytes());
+        count("migration", "requests", migrator_->migrationRequests());
+        count("migration", "shootdown_rounds",
+              migrator_->shootdownRounds());
+        count("migration", "shootdown_acks", migrator_->shootdownAcks());
+        mean("migration", "avg_round_cycles",
+             migrator_->roundLatency().mean());
+    }
+}
+
 void
 System::dumpStats(std::ostream &os) const
 {
-    os << "sim.ticks " << eq_.now() << "\n";
-    for (std::uint32_t c = 0; c < cfg_.chiplets; ++c) {
-        const auto &chip = *chiplets_[c];
-        std::string p = "gpu" + std::to_string(c) + ".";
-        os << p << "l2tlb.accesses " << chip.l2TlbAccesses() << "\n";
-        os << p << "l2tlb.misses " << chip.l2TlbMisses() << "\n";
-        os << p << "l2tlb.mshr_retries " << chip.mshrRetries() << "\n";
-        os << p << "data.local " << chip.localDataAccesses() << "\n";
-        os << p << "data.remote " << chip.remoteDataAccesses() << "\n";
-        os << p << "l1tlb.sibling_hits " << chip.siblingProbeHits()
-           << "\n";
-    }
-    os << "iommu.ats_requests " << iommu_->atsRequests() << "\n";
-    os << "iommu.walks " << iommu_->walks() << "\n";
-    os << "iommu.pec_calculated " << iommu_->coalescedTranslations()
-       << "\n";
-    os << "iommu.tlb_hits " << iommu_->iommuTlbHits() << "\n";
-    os << "iommu.page_faults " << iommu_->pageFaults() << "\n";
-    os << "iommu.sched_deferrals " << iommu_->schedulerDeferrals()
-       << "\n";
-    os << "iommu.avg_processing_cycles "
-       << iommu_->processingTime().mean() << "\n";
-    if (fbarre_) {
-        os << "fbarre.local_calc_hits " << fbarre_->localCalcHits()
-           << "\n";
-        os << "fbarre.remote_probes " << fbarre_->remoteProbes() << "\n";
-        os << "fbarre.remote_hits " << fbarre_->remoteHits() << "\n";
-        os << "fbarre.fallbacks " << fbarre_->fallbacks() << "\n";
-        os << "fbarre.filter_updates " << fbarre_->filterUpdates()
-           << "\n";
-    }
-    if (gmmu_) {
-        os << "gmmu.local_walks " << gmmu_->localWalks() << "\n";
-        os << "gmmu.remote_walks " << gmmu_->remoteWalks() << "\n";
-        os << "gmmu.pec_calculated " << gmmu_->coalescedTranslations()
-           << "\n";
-    }
-    os << "noc.bytes " << noc_->totalBytes() << "\n";
-    os << "noc.messages " << noc_->totalMessages() << "\n";
-    os << "pcie.up_bytes " << pcie_->upstream().bytesSent() << "\n";
-    os << "pcie.down_bytes " << pcie_->downstream().bytesSent() << "\n";
-    if (engine_) {
-        os << "scenario.launches " << engine_->launches() << "\n";
-        os << "scenario.retires " << engine_->retires() << "\n";
-    }
-    os << "driver.mapped_pages " << driver_->totalMappedPages() << "\n";
-    os << "driver.process_exits " << driver_->processExits() << "\n";
-    os << "driver.coalesced_pages " << driver_->coalescedPages() << "\n";
-    os << "driver.merged_pages " << driver_->mergedGroupPages() << "\n";
-    os << "driver.fallback_pages " << driver_->fallbackPages() << "\n";
-    os << "driver.demand_faults " << driver_->demandFaults() << "\n";
-    if (migrator_) {
-        os << "migration.count " << migrator_->migrations() << "\n";
-        os << "migration.bytes " << migrator_->migratedBytes() << "\n";
-        os << "migration.requests " << migrator_->migrationRequests()
-           << "\n";
-        os << "migration.shootdown_rounds "
-           << migrator_->shootdownRounds() << "\n";
-        os << "migration.shootdown_acks " << migrator_->shootdownAcks()
-           << "\n";
-        os << "migration.avg_round_cycles "
-           << migrator_->roundLatency().mean() << "\n";
-    }
+    visitStats([&os](const auto &s) {
+        if (!s.leaf)
+            return;
+        if (s.chiplet >= 0)
+            os << "gpu" << s.chiplet << '.';
+        os << s.section << '.' << s.leaf << ' ' << s.value << '\n';
+    });
 }
 
 Trace
@@ -728,50 +790,13 @@ System::run()
     m.instructions = total_instructions_;
     m.sim_events = fired;
 
-    for (auto &c : chiplets_) {
-        m.l2_tlb_hits += c->l2TlbHits();
-        m.l2_tlb_misses += c->l2TlbMisses();
-    }
-    for (auto &c : chiplets_) {
-        m.mshr_retries += c->mshrRetries();
-        m.local_data += c->localDataAccesses();
-        m.remote_data += c->remoteDataAccesses();
-    }
+    visitStats([&m](const auto &s) {
+        if (s.field)
+            m.*s.field += s.value;
+    });
     m.l2_mpki = m.instructions > 0
                     ? m.l2_tlb_misses / (m.instructions / 1000.0)
                     : 0.0;
-
-    m.ats_packets = iommu_->atsRequests();
-    m.walks = iommu_->walks();
-    m.iommu_coalesced = iommu_->coalescedTranslations();
-    m.iommu_tlb_hits = iommu_->iommuTlbHits();
-    m.avg_ats_time = iommu_->processingTime().mean();
-    m.avg_pw_queue_depth = iommu_->queueDepth().mean();
-
-    if (fbarre_) {
-        m.local_calc_hits = fbarre_->localCalcHits();
-        m.remote_probes = fbarre_->remoteProbes();
-        m.remote_hits = fbarre_->remoteHits();
-        m.fbarre_fallbacks = fbarre_->fallbacks();
-        m.lcf_positives = fbarre_->lcfPositives();
-        m.lcf_true_positives = fbarre_->lcfTruePositives();
-        m.filter_updates = fbarre_->filterUpdates();
-    }
-
-    m.noc_bytes = noc_->totalBytes();
-    m.pcie_up_bytes = pcie_->upstream().bytesSent();
-    m.pcie_down_bytes = pcie_->downstream().bytesSent();
-
-    if (gmmu_) {
-        m.gmmu_local_walks = gmmu_->localWalks();
-        m.gmmu_remote_walks = gmmu_->remoteWalks();
-        m.gmmu_coalesced = gmmu_->coalescedTranslations();
-    }
-
-    m.coalesced_pages = driver_->coalescedPages();
-    m.mapped_pages = driver_->totalMappedPages();
-    if (migrator_)
-        m.migrations = migrator_->migrations();
 
     if (engine_) {
         for (const auto &ts : engine_->tenantStates()) {

@@ -77,7 +77,8 @@ class System
 
     /**
      * Dump every component's counters (gem5-style stats listing) to
-     * @p os. Callable any time; most useful after run().
+     * @p os: the visitStats() entries that carry a name. Callable any
+     * time; most useful after run().
      */
     void dumpStats(std::ostream &os) const;
 
@@ -116,6 +117,14 @@ class System
     /// @}
 
   private:
+    /**
+     * The one list of component statistics: calls @p f with a Stat
+     * (system.cc) per entry, in dump order, under each component's
+     * presence guard. dumpStats() prints the list and run() harvests
+     * it into RunMetrics, so a new statistic is one entry here.
+     */
+    template <class F>
+    void visitStats(F &&f) const;
     /** Allocate an app's buffers through the driver. */
     std::vector<DataAlloc> allocate(const AppParams &app, ProcessId pid);
     /**

@@ -1,19 +1,15 @@
 /**
  * @file
- * Minimal statistics package, gem5-flavoured.
- *
- * Stats are plain counters/distributions owned by SimObjects and registered
- * with a StatRegistry so a whole system can be dumped uniformly. Formulas
- * (ratios) are computed at dump time.
+ * Statistics primitives, gem5-flavoured: plain counters, sample
+ * accumulators and a log-bucketed latency histogram, owned by the
+ * components that update them. System::visitStats (harness/system.cc)
+ * is the one list that names them for the stats dump and RunMetrics.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
-#include <vector>
 
 namespace barre
 {
@@ -58,40 +54,6 @@ class Accumulator
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Fixed-bucket histogram over [0, bucket_width * buckets); values beyond
- * the last bucket land in an overflow bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double bucket_width = 1.0, std::size_t buckets = 64)
-        : width_(bucket_width), bins_(buckets, 0)
-    {}
-
-    void
-    sample(double v)
-    {
-        acc_.sample(v);
-        auto idx = static_cast<std::size_t>(v / width_);
-        if (idx >= bins_.size())
-            ++overflow_;
-        else
-            ++bins_[idx];
-    }
-
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-    std::uint64_t overflow() const { return overflow_; }
-    const Accumulator &summary() const { return acc_; }
-    double bucketWidth() const { return width_; }
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t overflow_ = 0;
-    Accumulator acc_;
 };
 
 /**
@@ -191,34 +153,6 @@ class LogHistogram
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t max_ = 0;
-};
-
-/**
- * Name -> stat map for a whole simulated system. Stats register by pointer;
- * the owning SimObject must outlive the registry dump.
- */
-class StatRegistry
-{
-  public:
-    void registerCounter(const std::string &name, const Counter *c);
-    void registerAccumulator(const std::string &name, const Accumulator *a);
-
-    /** Fetch a registered counter's value; 0 if absent. */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    /** Dump all registered stats, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    void
-    clear()
-    {
-        counters_.clear();
-        accumulators_.clear();
-    }
-
-  private:
-    std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Accumulator *> accumulators_;
 };
 
 } // namespace barre

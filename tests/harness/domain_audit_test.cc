@@ -232,6 +232,7 @@ TEST(DomainAudit, GoldenOnlyShrinks)
 
 struct CleanRun
 {
+    RunMetrics metrics;
     std::string csv;
     std::string stats;
     bool clean = false;
@@ -249,6 +250,7 @@ cleanRun(SystemConfig cfg, std::uint32_t domains)
     RunMetrics m = sys.run();
 
     CleanRun out;
+    out.metrics = m;
     out.csv = csvRow(m);
     std::ostringstream os;
     sys.dumpStats(os);
@@ -311,6 +313,7 @@ TEST(DomainAudit, PartitionableConfigsAuditCleanAndBitwiseIdentical)
         EXPECT_TRUE(part.clean) << name << " partitioned";
         EXPECT_EQ(serial.csv, part.csv) << name;
         EXPECT_EQ(serial.stats, part.stats) << name;
+        EXPECT_TRUE(serial.metrics == part.metrics) << name;
     }
 }
 

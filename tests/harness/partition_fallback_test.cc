@@ -26,6 +26,7 @@ namespace
 
 struct FallbackOut
 {
+    RunMetrics metrics;
     std::string csv;
     std::string stats;
     bool tagged = false;
@@ -49,6 +50,7 @@ runCfg(SystemConfig cfg, std::uint32_t domains)
     sys.loadScenario(ScenarioSpec::solo("cov"));
     RunMetrics m = sys.run();
 
+    out.metrics = m;
     out.csv = csvRow(m);
     std::ostringstream os;
     sys.dumpStats(os);
@@ -142,6 +144,7 @@ TEST_P(PartitionFallback, WarnsOnceAndMatchesSerialBitwise)
         << "the fallback warning must fire exactly once";
     EXPECT_EQ(serial.csv, fell_back.csv);
     EXPECT_EQ(serial.stats, fell_back.stats);
+    EXPECT_TRUE(serial.metrics == fell_back.metrics);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBlockedConfigs, PartitionFallback,

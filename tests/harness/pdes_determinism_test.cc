@@ -28,6 +28,7 @@ namespace
 
 struct RunOut
 {
+    RunMetrics metrics;
     std::string csv;
     std::string stats;
     std::vector<std::uint64_t> digests;
@@ -43,6 +44,7 @@ runCfg(SystemConfig cfg, const char *app_name = "cov")
     m.app = app_name;
 
     RunOut out;
+    out.metrics = m;
     out.csv = csvRow(m);
     std::ostringstream os;
     sys.dumpStats(os);
@@ -70,6 +72,8 @@ expectIdentical(const RunOut &a, const RunOut &b, const char *what)
 {
     EXPECT_EQ(a.csv, b.csv) << what;
     EXPECT_EQ(a.stats, b.stats) << what;
+    // Every field, including the ones no output prints.
+    EXPECT_TRUE(a.metrics == b.metrics) << what;
     EXPECT_TRUE(a.digests == b.digests) << what;
 }
 
@@ -159,6 +163,7 @@ TEST(PdesDeterminism, NonPartitionableConfigFallsBackToLegacy)
     EXPECT_FALSE(got.tagged);
     EXPECT_EQ(ref.csv, got.csv);
     EXPECT_EQ(ref.stats, got.stats);
+    EXPECT_TRUE(ref.metrics == got.metrics);
 }
 
 /**

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/stats.hh"
 
 using namespace barre;
@@ -45,43 +43,4 @@ TEST(Accumulator, HandlesNegativeValues)
     EXPECT_DOUBLE_EQ(a.min(), -5.0);
     EXPECT_DOUBLE_EQ(a.max(), 5.0);
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 4); // [0,10) [10,20) [20,30) [30,40)
-    h.sample(0.0);
-    h.sample(9.9);
-    h.sample(10.0);
-    h.sample(35.0);
-    h.sample(100.0); // overflow
-    EXPECT_EQ(h.bins()[0], 2u);
-    EXPECT_EQ(h.bins()[1], 1u);
-    EXPECT_EQ(h.bins()[2], 0u);
-    EXPECT_EQ(h.bins()[3], 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.summary().count(), 5u);
-}
-
-TEST(StatRegistry, DumpIsSortedAndComplete)
-{
-    StatRegistry reg;
-    Counter b, a;
-    ++a;
-    b += 2;
-    reg.registerCounter("zeta", &b);
-    reg.registerCounter("alpha", &a);
-    std::ostringstream os;
-    reg.dump(os);
-    EXPECT_EQ(os.str(), "alpha 1\nzeta 2\n");
-    EXPECT_EQ(reg.counterValue("zeta"), 2u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-}
-
-TEST(StatRegistry, DuplicateNamePanics)
-{
-    StatRegistry reg;
-    Counter c;
-    reg.registerCounter("x", &c);
-    EXPECT_THROW(reg.registerCounter("x", &c), std::logic_error);
 }

@@ -256,7 +256,9 @@ run(int argc, char **argv)
     t.addRow({"app", trace_file.empty() ? spec.label() : trace_file});
     t.addRow({"runtime (cycles)", std::to_string(m.runtime)});
     t.addRow({"accesses", std::to_string(m.accesses)});
+    t.addRow({"sim events", std::to_string(m.sim_events)});
     t.addRow({"L2 TLB MPKI", fmt(m.l2_mpki)});
+    t.addRow({"MSHR retries", std::to_string(m.mshr_retries)});
     t.addRow({"ATS packets", std::to_string(m.ats_packets)});
     t.addRow({"IOMMU walks", std::to_string(m.walks)});
     t.addRow({"PEC-calculated (IOMMU)", std::to_string(m.iommu_coalesced)});
